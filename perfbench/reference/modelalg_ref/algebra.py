@@ -1,0 +1,634 @@
+"""The property checker: classifies a composition operator against every row
+of the composition-property table and the special-elements table, audits the
+tables' dependency columns, builds the semantic quotient of a corpus, and
+checks that composition is a congruence for it.
+
+All verdicts are relative to a finite corpus and universe: a false verdict is
+definitive and carries witnesses; a true verdict means "no counterexample in
+this corpus/universe" (with sampling recorded when the check is not
+exhaustive).
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from dataclasses import dataclass
+
+from .operators import OPERATORS, Operator, get_operator
+from .semantics import Universe, build_universe, denotation
+from .syntax import (
+    AttrComplete,
+    AttrTyped,
+    ClassExists,
+    Model,
+    render,
+    syntactic_eq,
+)
+
+MAX_WITNESSES = 10
+TRIPLE_SAMPLES = 10_000
+EXHAUSTIVE_TRIPLE_LIMIT = 20
+
+TABLE1_PROPS = ("PP_l", "PP_r", "PP", "FPP", "CP", "Com", "Ass", "Com_sm", "Ass_sm")
+TABLE2_PROPS = (
+    "Rn", "Ln", "N", "Ra", "La", "A", "Ri", "Li", "I",
+    "Rn_comp", "Ln_comp", "N_comp", "Ra_comp", "La_comp", "A_comp",
+    "Ri_comp", "Li_comp", "I_comp",
+)
+
+
+@dataclass(frozen=True)
+class Witness:
+    models: tuple[str, ...]  # rendered sources, in quantifier order
+    relation: str  # the relation that was expected to hold
+    observed: str  # summary of the sets actually computed
+
+
+@dataclass(frozen=True)
+class Verdict:
+    prop: str
+    holds: bool
+    witnesses: tuple[Witness, ...]
+    exhaustive: bool
+    checked: int  # tuples examined
+    scope: str
+
+
+@dataclass(frozen=True)
+class Corpus:
+    models: tuple[Model, ...]
+    origin: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "models", tuple(self.models))
+        if not self.models:
+            raise ValueError("corpus must be nonempty")
+
+
+@dataclass(frozen=True)
+class Partition:
+    corpus: Corpus
+    classes: tuple[tuple[int, ...], ...]
+
+    @property
+    def representatives(self) -> tuple[int, ...]:
+        return tuple(cls[0] for cls in self.classes)
+
+
+@dataclass(frozen=True)
+class OperatorReport:
+    operator: str
+    universe: Universe
+    corpus: Corpus
+    table1: dict
+    table2: tuple  # ((model index, {prop: Verdict}), ...)
+    implication_audit: tuple[str, ...]
+    theorems: dict
+
+
+@dataclass(frozen=True)
+class StabilityReport:
+    operator: str
+    stable: bool
+    differing: tuple[str, ...]
+
+
+def _show(m: Model) -> str:
+    text = render(m).replace("\n", " ").strip()
+    return text or "<empty>"
+
+
+class _Composer:
+    """Memoizing wrapper around one operator."""
+
+    def __init__(self, op: Operator):
+        self.op = op
+        self.cache: dict = {}
+
+    def __call__(self, a: Model, b: Model) -> Model:
+        key = (a.constraints, b.constraints)
+        r = self.cache.get(key)
+        if r is None:
+            r = self.op(a, b)
+            self.cache[key] = r
+        return r
+
+
+def _scope(corpus: Corpus, u: Universe) -> str:
+    return f"corpus={corpus.origin}; universe={u.describe()}"
+
+
+def _verdict(prop, failures, checked, exhaustive, scope) -> Verdict:
+    return Verdict(prop, not failures, tuple(failures[:MAX_WITNESSES]), exhaustive, checked, scope)
+
+
+def _sample_triples(n: int, seed: int, count: int = TRIPLE_SAMPLES):
+    rng = random.Random(seed)
+    return [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+
+
+# --- table 1 ---------------------------------------------------------------
+
+
+def _check_pp(comp: _Composer, corpus: Corpus, u: Universe, scope: str) -> dict:
+    wl, wr, wb = [], [], []
+    for m1 in corpus.models:
+        for m2 in corpus.models:
+            dc = denotation(comp(m1, m2), u)
+            d1 = denotation(m1, u)
+            d2 = denotation(m2, u)
+            obs = f"|sm(op(m1,m2))|={dc.size}, |sm(m1)|={d1.size}, |sm(m2)|={d2.size}"
+            pair = (_show(m1), _show(m2))
+            if not dc.issubset(d1):
+                wl.append(Witness(pair, "sm(op(m1,m2)) is a subset of sm(m1)", obs))
+            if not dc.issubset(d2):
+                wr.append(Witness(pair, "sm(op(m1,m2)) is a subset of sm(m2)", obs))
+            if not dc.issubset(d1 & d2):
+                wb.append(Witness(pair, "sm(op(m1,m2)) is a subset of sm(m1) & sm(m2)", obs))
+    n2 = len(corpus.models) ** 2
+    return {
+        "PP_l": _verdict("PP_l", wl, n2, True, scope),
+        "PP_r": _verdict("PP_r", wr, n2, True, scope),
+        "PP": _verdict("PP", wb, n2, True, scope),
+    }
+
+
+def _check_fpp(comp: _Composer, corpus: Corpus, u: Universe, scope: str) -> Verdict:
+    failures = []
+    for m1 in corpus.models:
+        for m2 in corpus.models:
+            dc = denotation(comp(m1, m2), u)
+            di = denotation(m1, u) & denotation(m2, u)
+            if dc != di:
+                failures.append(
+                    Witness(
+                        (_show(m1), _show(m2)),
+                        "sm(op(m1,m2)) equals sm(m1) & sm(m2)",
+                        f"|sm(op(m1,m2))|={dc.size}, |sm(m1) & sm(m2)|={di.size}",
+                    )
+                )
+    return _verdict("FPP", failures, len(corpus.models) ** 2, True, scope)
+
+
+def _check_cp(comp: _Composer, corpus: Corpus, u: Universe, scope: str) -> Verdict:
+    failures = []
+    for m1 in corpus.models:
+        for m2 in corpus.models:
+            di = denotation(m1, u) & denotation(m2, u)
+            if di.is_empty:
+                continue
+            dc = denotation(comp(m1, m2), u)
+            if dc.is_empty:
+                failures.append(
+                    Witness(
+                        (_show(m1), _show(m2)),
+                        "sm(m1) & sm(m2) nonempty implies sm(op(m1,m2)) nonempty",
+                        f"|sm(m1) & sm(m2)|={di.size}, |sm(op(m1,m2))|=0",
+                    )
+                )
+    return _verdict("CP", failures, len(corpus.models) ** 2, True, scope)
+
+
+def _check_commutativity(comp: _Composer, corpus: Corpus, u: Universe, scope: str) -> dict:
+    syn, sem = [], []
+    n = len(corpus.models)
+    for i in range(n):
+        for j in range(i + 1, n):
+            m1, m2 = corpus.models[i], corpus.models[j]
+            a = comp(m1, m2)
+            b = comp(m2, m1)
+            pair = (_show(m1), _show(m2))
+            if not syntactic_eq(a, b):
+                syn.append(
+                    Witness(pair, "op(m1,m2) syntactically equals op(m2,m1)",
+                            f"op(m1,m2)={_show(a)}; op(m2,m1)={_show(b)}")
+                )
+            da, db = denotation(a, u), denotation(b, u)
+            if da != db:
+                sem.append(
+                    Witness(pair, "sm(op(m1,m2)) equals sm(op(m2,m1))",
+                            f"|sm(op(m1,m2))|={da.size}, |sm(op(m2,m1))|={db.size}")
+                )
+    checked = n * (n - 1) // 2
+    return {
+        "Com": _verdict("Com", syn, checked, True, scope),
+        "Com_sm": _verdict("Com_sm", sem, checked, True, scope),
+    }
+
+
+def _check_associativity(comp: _Composer, corpus: Corpus, u: Universe, scope: str, seed: int) -> dict:
+    n = len(corpus.models)
+    if n <= EXHAUSTIVE_TRIPLE_LIMIT:
+        triples = itertools.product(range(n), repeat=3)
+        exhaustive, checked = True, n**3
+    else:
+        triples = _sample_triples(n, seed)
+        exhaustive, checked = False, TRIPLE_SAMPLES
+    syn, sem = [], []
+    for i, j, k in triples:
+        m1, m2, m3 = corpus.models[i], corpus.models[j], corpus.models[k]
+        left = comp(comp(m1, m2), m3)
+        right = comp(m1, comp(m2, m3))
+        triple = (_show(m1), _show(m2), _show(m3))
+        if not syntactic_eq(left, right):
+            syn.append(
+                Witness(triple, "op(op(m1,m2),m3) syntactically equals op(m1,op(m2,m3))",
+                        f"left={_show(left)}; right={_show(right)}")
+            )
+        dl, dr = denotation(left, u), denotation(right, u)
+        if dl != dr:
+            sem.append(
+                Witness(triple, "sm(op(op(m1,m2),m3)) equals sm(op(m1,op(m2,m3)))",
+                        f"|left|={dl.size}, |right|={dr.size}")
+            )
+    return {
+        "Ass": _verdict("Ass", syn, checked, exhaustive, scope),
+        "Ass_sm": _verdict("Ass_sm", sem, checked, exhaustive, scope),
+    }
+
+
+# --- table 2 ---------------------------------------------------------------
+
+
+def _check_element(comp: _Composer, m: Model, corpus: Corpus, u: Universe, scope: str) -> dict:
+    fails: dict[str, list[Witness]] = {p: [] for p in TABLE2_PROPS}
+    dm = denotation(m, u)
+    for m1 in corpus.models:
+        rm = comp(m1, m)  # m1 (x) m
+        lm = comp(m, m1)  # m (x) m1
+        rr = comp(rm, m)  # (m1 (x) m) (x) m
+        ll = comp(m, lm)  # m (x) (m (x) m1)
+        d1 = denotation(m1, u)
+        drm = denotation(rm, u)
+        dlm = denotation(lm, u)
+        drr = denotation(rr, u)
+        dll = denotation(ll, u)
+        pair = (_show(m1), _show(m))
+
+        def fail(prop: str, relation: str, observed: str) -> None:
+            fails[prop].append(Witness(pair, relation, observed))
+
+        rn = syntactic_eq(rm, m1)
+        ln = syntactic_eq(lm, m1)
+        ra = syntactic_eq(rm, m)
+        la = syntactic_eq(lm, m)
+        ri = syntactic_eq(rr, rm)
+        li = syntactic_eq(ll, rm)  # as printed: m (x) (m (x) m1) = m1 (x) m
+        if not rn:
+            fail("Rn", "op(m1,m) syntactically equals m1", f"op(m1,m)={_show(rm)}")
+        if not ln:
+            fail("Ln", "op(m,m1) syntactically equals m1", f"op(m,m1)={_show(lm)}")
+        if not (rn and ln):
+            fail("N", "op(m1,m) = op(m,m1) = m1 syntactically",
+                 f"op(m1,m)={_show(rm)}; op(m,m1)={_show(lm)}")
+        if not ra:
+            fail("Ra", "op(m1,m) syntactically equals m", f"op(m1,m)={_show(rm)}")
+        if not la:
+            fail("La", "op(m,m1) syntactically equals m", f"op(m,m1)={_show(lm)}")
+        if not (ra and la):
+            fail("A", "op(m1,m) = op(m,m1) = m syntactically",
+                 f"op(m1,m)={_show(rm)}; op(m,m1)={_show(lm)}")
+        if not ri:
+            fail("Ri", "op(op(m1,m),m) syntactically equals op(m1,m)",
+                 f"op(op(m1,m),m)={_show(rr)}; op(m1,m)={_show(rm)}")
+        if not li:
+            fail("Li", "op(m,op(m,m1)) syntactically equals op(m1,m)",
+                 f"op(m,op(m,m1))={_show(ll)}; op(m1,m)={_show(rm)}")
+        if not (ri and li):
+            fail("I", "op(m,op(m,m1)) = op(op(m1,m),m) = op(m1,m) syntactically",
+                 f"op(m,op(m,m1))={_show(ll)}; op(op(m1,m),m)={_show(rr)}; op(m1,m)={_show(rm)}")
+
+        rn_c = drm == d1
+        ln_c = dlm == d1
+        ra_c = drm == dm
+        la_c = dlm == dm
+        ri_c = drr == drm
+        li_c = dll == drm
+        if not rn_c:
+            fail("Rn_comp", "sm(op(m1,m)) equals sm(m1)", f"|sm(op(m1,m))|={drm.size}, |sm(m1)|={d1.size}")
+        if not ln_c:
+            fail("Ln_comp", "sm(op(m,m1)) equals sm(m1)", f"|sm(op(m,m1))|={dlm.size}, |sm(m1)|={d1.size}")
+        if not (rn_c and ln_c):
+            fail("N_comp", "sm(op(m1,m)) = sm(op(m,m1)) = sm(m1)",
+                 f"|sm(op(m1,m))|={drm.size}, |sm(op(m,m1))|={dlm.size}, |sm(m1)|={d1.size}")
+        if not ra_c:
+            fail("Ra_comp", "sm(op(m1,m)) equals sm(m)", f"|sm(op(m1,m))|={drm.size}, |sm(m)|={dm.size}")
+        if not la_c:
+            fail("La_comp", "sm(op(m,m1)) equals sm(m)", f"|sm(op(m,m1))|={dlm.size}, |sm(m)|={dm.size}")
+        if not (ra_c and la_c):
+            fail("A_comp", "sm(op(m1,m)) = sm(op(m,m1)) = sm(m)",
+                 f"|sm(op(m1,m))|={drm.size}, |sm(op(m,m1))|={dlm.size}, |sm(m)|={dm.size}")
+        if not ri_c:
+            fail("Ri_comp", "sm(op(op(m1,m),m)) equals sm(op(m1,m))",
+                 f"|sm(op(op(m1,m),m))|={drr.size}, |sm(op(m1,m))|={drm.size}")
+        if not li_c:
+            fail("Li_comp", "sm(op(m,op(m,m1))) equals sm(op(m1,m))",
+                 f"|sm(op(m,op(m,m1)))|={dll.size}, |sm(op(m1,m))|={drm.size}")
+        if not (ri_c and li_c):
+            fail("I_comp", "sm(op(m,op(m,m1))) = sm(op(op(m1,m),m)) = sm(op(m1,m))",
+                 f"|sm(op(m,op(m,m1)))|={dll.size}, |sm(op(op(m1,m),m))|={drr.size}, |sm(op(m1,m))|={drm.size}")
+
+    n = len(corpus.models)
+    return {p: _verdict(p, fails[p], n, True, scope) for p in TABLE2_PROPS}
+
+
+# --- public single checks --------------------------------------------------
+
+
+def _as_composer(op) -> _Composer:
+    if isinstance(op, str):
+        op = get_operator(op)
+    return _Composer(op)
+
+
+def check_pp(op, corpus: Corpus, u: Universe) -> dict:
+    return _check_pp(_as_composer(op), corpus, u, _scope(corpus, u))
+
+
+def check_fpp(op, corpus: Corpus, u: Universe) -> Verdict:
+    return _check_fpp(_as_composer(op), corpus, u, _scope(corpus, u))
+
+
+def check_cp(op, corpus: Corpus, u: Universe) -> Verdict:
+    return _check_cp(_as_composer(op), corpus, u, _scope(corpus, u))
+
+
+def check_commutativity(op, corpus: Corpus, u: Universe) -> dict:
+    return _check_commutativity(_as_composer(op), corpus, u, _scope(corpus, u))
+
+
+def check_associativity(op, corpus: Corpus, u: Universe, seed: int = 42) -> dict:
+    return _check_associativity(_as_composer(op), corpus, u, _scope(corpus, u), seed)
+
+
+def check_element(op, m: Model, corpus: Corpus, u: Universe) -> dict:
+    return _check_element(_as_composer(op), m, corpus, u, _scope(corpus, u))
+
+
+# --- quotient and congruence ----------------------------------------------
+
+
+def quotient(corpus: Corpus, u: Universe) -> Partition:
+    """Corpus models grouped by equal denotation; class order follows the
+    first member's corpus index."""
+    groups: dict = {}
+    for i, m in enumerate(corpus.models):
+        groups.setdefault(denotation(m, u), []).append(i)
+    return Partition(corpus, tuple(tuple(v) for v in groups.values()))
+
+
+def _congruence(comp: _Composer, partition: Partition, u: Universe, scope: str) -> Verdict:
+    models = partition.corpus.models
+    failures = []
+    checked = 0
+    for ci in partition.classes:
+        for cj in partition.classes:
+            rep = comp(models[ci[0]], models[cj[0]])
+            dr = denotation(rep, u)
+            for a in ci:
+                for b in cj:
+                    checked += 1
+                    d = denotation(comp(models[a], models[b]), u)
+                    if d != dr:
+                        failures.append(
+                            Witness(
+                                (_show(models[a]), _show(models[b]),
+                                 _show(models[ci[0]]), _show(models[cj[0]])),
+                                "sm(op(ma,mb)) equals sm(op(rep_i,rep_j)) for all"
+                                " representatives ma, mb of the two classes",
+                                f"|sm(op(ma,mb))|={d.size}, |sm(op(rep_i,rep_j))|={dr.size}",
+                            )
+                        )
+    return _verdict("congruence", failures, checked, True, scope)
+
+
+def congruence_check(op, partition: Partition, u: Universe) -> Verdict:
+    return _congruence(_as_composer(op), partition, u, _scope(partition.corpus, u))
+
+
+# --- implication audit -----------------------------------------------------
+
+_SYN_TO_COMP = {
+    "Rn": "Rn_comp", "Ln": "Ln_comp", "N": "N_comp",
+    "Ra": "Ra_comp", "La": "La_comp", "A": "A_comp",
+    "Ri": "Ri_comp", "Li": "Li_comp", "I": "I_comp",
+}
+
+
+def _implication_audit(table1: dict, table2) -> tuple[str, ...]:
+    bad: list[str] = []
+
+    def imp(name: str, a: bool, b: bool) -> None:
+        if a and not b:
+            bad.append(name)
+
+    def iff(name: str, a: bool, b: bool) -> None:
+        if a != b:
+            bad.append(name)
+
+    t = {p: v.holds for p, v in table1.items()}
+    iff("PP_l & PP_r <=> PP", t["PP_l"] and t["PP_r"], t["PP"])
+    imp("FPP => PP", t["FPP"], t["PP"])
+    imp("FPP => CP", t["FPP"], t["CP"])
+    imp("Com => Com_sm", t["Com"], t["Com_sm"])
+    imp("Ass => Ass_sm", t["Ass"], t["Ass_sm"])
+
+    for idx, props in table2:
+        e = {p: v.holds for p, v in props.items()}
+        tag = f"element {idx}: "
+        iff(tag + "Rn & Ln <=> N", e["Rn"] and e["Ln"], e["N"])
+        iff(tag + "Ra & La <=> A", e["Ra"] and e["La"], e["A"])
+        iff(tag + "Ri & Li <=> I", e["Ri"] and e["Li"], e["I"])
+        iff(tag + "Rn_comp & Ln_comp <=> N_comp", e["Rn_comp"] and e["Ln_comp"], e["N_comp"])
+        iff(tag + "Ra_comp & La_comp <=> A_comp", e["Ra_comp"] and e["La_comp"], e["A_comp"])
+        iff(tag + "Ri_comp & Li_comp <=> I_comp", e["Ri_comp"] and e["Li_comp"], e["I_comp"])
+        for syn, comp_ in _SYN_TO_COMP.items():
+            imp(f"{tag}{syn} => {comp_}", e[syn], e[comp_])
+    return tuple(bad)
+
+
+# --- classification --------------------------------------------------------
+
+
+def classify(op_id: str, corpus: Corpus, u: Universe, seed: int = 42) -> OperatorReport:
+    comp = _Composer(get_operator(op_id))
+    scope = _scope(corpus, u)
+    table1: dict = {}
+    table1.update(_check_pp(comp, corpus, u, scope))
+    table1["FPP"] = _check_fpp(comp, corpus, u, scope)
+    table1["CP"] = _check_cp(comp, corpus, u, scope)
+    table1.update(_check_commutativity(comp, corpus, u, scope))
+    table1.update(_check_associativity(comp, corpus, u, scope, seed))
+    table1 = {p: table1[p] for p in TABLE1_PROPS}
+
+    table2 = tuple(
+        (i, _check_element(comp, m, corpus, u, scope)) for i, m in enumerate(corpus.models)
+    )
+
+    audit = _implication_audit(table1, table2)
+
+    part = quotient(corpus, u)
+    cong = _congruence(comp, part, u, scope)
+    fpp = table1["FPP"].holds
+    i_comp_all = all(props["I_comp"].holds for _, props in table2)
+    theorems = {
+        "t1": {
+            "applicable": fpp,
+            "holds": (not fpp)
+            or (table1["Com_sm"].holds and table1["Ass_sm"].holds and i_comp_all),
+        },
+        "t2": {
+            "applicable": fpp,
+            "congruence": cong.holds,
+            "holds": (not fpp) or cong.holds,
+        },
+    }
+    return OperatorReport(op_id, u, corpus, table1, table2, audit, theorems)
+
+
+# --- corpus generation -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CorpusBounds:
+    class_names: tuple[str, ...]
+    attr_names: tuple[str, ...]
+    type_names: tuple[str, ...]
+    include_complete: bool = False
+
+
+DEFAULT_BOUNDS = CorpusBounds(
+    class_names=("Person", "Account"),
+    attr_names=("name", "age"),
+    type_names=("String", "Int"),
+    include_complete=True,
+)
+
+
+def _class_states(bounds: CorpusBounds) -> list:
+    """Canonical per-class states: absent, or an attribute map with an
+    optional completeness flag."""
+    states: list = [None]
+    for combo in itertools.product((None, *bounds.type_names), repeat=len(bounds.attr_names)):
+        pairs = tuple((a, t) for a, t in zip(bounds.attr_names, combo) if t is not None)
+        states.append((pairs, False))
+        if bounds.include_complete:
+            states.append((pairs, True))
+    return states
+
+
+def _model_at(bounds: CorpusBounds, states: list, index: int) -> Model:
+    digits = []
+    for _ in bounds.class_names:
+        digits.append(index % len(states))
+        index //= len(states)
+    digits.reverse()
+    constraints: list = []
+    for cls, d in zip(bounds.class_names, digits):
+        state = states[d]
+        if state is None:
+            continue
+        pairs, complete = state
+        constraints.append(ClassExists(cls))
+        constraints.extend(AttrTyped(cls, a, t) for a, t in pairs)
+        if complete:
+            constraints.append(AttrComplete(cls, pairs))
+    return Model(tuple(constraints))
+
+
+def _contradictory_model(bounds: CorpusBounds) -> Model | None:
+    cls = bounds.class_names[0]
+    attr = bounds.attr_names[0] if bounds.attr_names else None
+    if attr is not None and len(bounds.type_names) >= 2:
+        t1, t2 = bounds.type_names[0], bounds.type_names[1]
+        return Model((ClassExists(cls), AttrTyped(cls, attr, t1), AttrTyped(cls, attr, t2)))
+    if attr is not None and bounds.include_complete:
+        return Model((ClassExists(cls), AttrTyped(cls, attr, bounds.type_names[0]), AttrComplete(cls, ())))
+    return None
+
+
+def generate_corpus(
+    bounds: CorpusBounds,
+    seed: int = 42,
+    max_models: int = 40,
+    extra_models: tuple[Model, ...] = (),
+    inject_variants: bool = False,
+) -> Corpus:
+    """Deterministic corpus within the given bounds: full enumeration when it
+    fits into max_models, else seeded sampling.  Always contains the empty
+    model, and a contradictory model whenever one is expressible."""
+    states = _class_states(bounds)
+    total = len(states) ** len(bounds.class_names)
+    models: list[Model] = []
+    seen: set = set()
+
+    def add(m: Model) -> None:
+        if m.constraints not in seen:
+            seen.add(m.constraints)
+            models.append(m)
+
+    add(Model(()))
+    for m in extra_models:
+        add(m)
+    contradictory = _contradictory_model(bounds)
+    if contradictory is not None:
+        add(contradictory)
+    if total <= max_models:
+        for i in range(total):
+            add(_model_at(bounds, states, i))
+    else:
+        rng = random.Random(seed)
+        while len(models) < max_models:
+            add(_model_at(bounds, states, rng.randrange(total)))
+    if inject_variants:
+        rich = [m for m in models if len(m.constraints) >= 2][:3]
+        for m in rich:
+            add(Model(tuple(reversed(m.constraints))))
+            add(Model(m.constraints + (m.constraints[0],)))
+    origin = (
+        f"generated(seed={seed},classes={len(bounds.class_names)},"
+        f"attrs={len(bounds.attr_names)},types={len(bounds.type_names)},"
+        f"complete={bounds.include_complete},n={len(models)})"
+    )
+    return Corpus(tuple(models), origin)
+
+
+def default_corpus(seed: int = 42) -> Corpus:
+    """The default checking corpus: seeded samples within the default bounds
+    plus hand-picked merge scenarios and permutation/duplication variants."""
+    person = "Person"
+    seeds = (
+        Model((ClassExists(person), AttrTyped(person, "name", "String"))),
+        Model((ClassExists(person), AttrTyped(person, "age", "Int"))),
+        Model((ClassExists(person), AttrTyped(person, "name", "Int"))),
+        Model((ClassExists(person), AttrTyped(person, "name", "String"), AttrTyped(person, "age", "Int"))),
+    )
+    return generate_corpus(
+        DEFAULT_BOUNDS, seed=seed, max_models=30, extra_models=seeds, inject_variants=True
+    )
+
+
+# --- stability -------------------------------------------------------------
+
+
+def _flat_verdicts(report: OperatorReport) -> dict[str, bool]:
+    flat = {f"table1.{p}": v.holds for p, v in report.table1.items()}
+    for idx, props in report.table2:
+        for p, v in props.items():
+            flat[f"table2[{idx}].{p}"] = v.holds
+    flat["theorems.t1"] = report.theorems["t1"]["holds"]
+    flat["theorems.t2"] = report.theorems["t2"]["holds"]
+    return flat
+
+
+def stability_check(op_id: str, corpus: Corpus, seed: int = 42) -> StabilityReport:
+    """Re-classify under 1/1/1 and 2/2/2 fresh-name padding and compare every
+    boolean verdict.  The padded universe is exempted from the enumeration cap
+    because denotations stay in factored form."""
+    u1 = build_universe(corpus.models, 1, 1, 1)
+    u2 = build_universe(corpus.models, 2, 2, 2, cap=None)
+    f1 = _flat_verdicts(classify(op_id, corpus, u1, seed))
+    f2 = _flat_verdicts(classify(op_id, corpus, u2, seed))
+    differing = tuple(sorted(k for k in f1 if f1[k] != f2[k]))
+    return StabilityReport(op_id, not differing, differing)

@@ -1,0 +1,106 @@
+"""Text and JSON rendering of operator reports."""
+
+from __future__ import annotations
+
+import json
+
+from .algebra import OperatorReport, Partition, StabilityReport, Verdict
+from .syntax import render
+
+
+def _verdict_dict(v: Verdict) -> dict:
+    return {
+        "holds": v.holds,
+        "witnesses": [
+            {"models": list(w.models), "relation": w.relation, "observed": w.observed}
+            for w in v.witnesses
+        ],
+        "sampling": {"exhaustive": v.exhaustive, "checked": v.checked},
+    }
+
+
+def report_to_dict(r: OperatorReport) -> dict:
+    return {
+        "operator": r.operator,
+        "universe": {
+            "classes": list(r.universe.class_pool),
+            "attrs": list(r.universe.attr_pool),
+            "types": list(r.universe.type_pool),
+            "system_count": r.universe.system_count,
+        },
+        "corpus": {
+            "origin": r.corpus.origin,
+            "size": len(r.corpus.models),
+            "models": [render(m) for m in r.corpus.models],
+        },
+        "table1": {p: _verdict_dict(v) for p, v in r.table1.items()},
+        "table2": [
+            {"model": render(r.corpus.models[idx]), "props": {p: _verdict_dict(v) for p, v in props.items()}}
+            for idx, props in r.table2
+        ],
+        "implication_audit": list(r.implication_audit),
+        "theorems": r.theorems,
+    }
+
+
+def report_to_json(r: OperatorReport) -> str:
+    return json.dumps(report_to_dict(r), indent=2) + "\n"
+
+
+def _one_line(m_text: str) -> str:
+    return m_text.replace("\n", " ").strip() or "<empty>"
+
+
+def report_to_text(r: OperatorReport) -> str:
+    lines = [
+        f"operator: {r.operator}",
+        f"universe: {r.universe.describe()}",
+        f"corpus: {r.corpus.origin} ({len(r.corpus.models)} models)",
+        "",
+        "Table 1 (composition properties)",
+    ]
+    for p, v in r.table1.items():
+        sampling = "exhaustive" if v.exhaustive else "sampled"
+        lines.append(f"  {p:<8} {'true ' if v.holds else 'false'}  {sampling} over {v.checked} tuples")
+        for w in v.witnesses[:1]:
+            lines.append(f"           witness: {' | '.join(w.models)}")
+            lines.append(f"           expected: {w.relation}; observed: {w.observed}")
+    lines += ["", "Table 2 (special elements; + holds, - fails)"]
+    for idx, props in r.table2:
+        flags = " ".join(f"{p}{'+' if v.holds else '-'}" for p, v in props.items())
+        lines.append(f"  model {idx:02d} `{_one_line(render(r.corpus.models[idx]))}`")
+        lines.append(f"    {flags}")
+    lines.append("")
+    if r.implication_audit:
+        lines.append("implication audit: VIOLATIONS")
+        lines.extend(f"  {item}" for item in r.implication_audit)
+    else:
+        lines.append("implication audit: ok (no violated dependencies)")
+    t1, t2 = r.theorems["t1"], r.theorems["t2"]
+    lines.append(
+        f"theorem 1 (FPP gives semantic com/ass/idempotence): "
+        f"{'holds' if t1['holds'] else 'VIOLATED'}"
+        f"{' (not applicable: operator is not FPP here)' if not t1['applicable'] else ''}"
+    )
+    lines.append(
+        f"theorem 2 (FPP gives congruence of the quotient): "
+        f"{'holds' if t2['holds'] else 'VIOLATED'}"
+        f"{' (not applicable: operator is not FPP here)' if not t2['applicable'] else ''}"
+    )
+    return "\n".join(lines) + "\n"
+
+
+def partition_to_text(p: Partition) -> str:
+    lines = [f"{len(p.classes)} semantic classes over {len(p.corpus.models)} models"]
+    for k, cls in enumerate(p.classes):
+        members = " ".join(f"#{i}" for i in cls)
+        rep = _one_line(render(p.corpus.models[cls[0]]))
+        lines.append(f"  class {k}: {members}")
+        lines.append(f"    representative: {rep}")
+    return "\n".join(lines) + "\n"
+
+
+def stability_to_text(s: StabilityReport) -> str:
+    if s.stable:
+        return f"{s.operator}: stable\n"
+    return f"{s.operator}: unstable\n" + "".join(f"  {d}\n" for d in s.differing)

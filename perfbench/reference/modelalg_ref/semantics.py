@@ -1,0 +1,356 @@
+"""Set-valued loose semantics over a finite, enumerable system universe.
+
+A Universe fixes finite pools of class, attribute, and type names.  A system
+assigns to every pool class either "absent" or a partial attribute->type map
+over the pools.  A model denotes the set of systems satisfying all of its
+constraints.
+
+Because each constraint mentions exactly one class, every denotation is a
+product of per-class state sets.  Denotations are therefore stored factored
+(one bitset of per-class states per pool class), which keeps intersection,
+subset, equality, and cardinality exact even for universes far beyond the
+enumeration cap.  Explicit enumeration (and the global bitset view) is only
+available below the cap.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import threading
+from dataclasses import dataclass, field
+from math import prod
+
+from .syntax import AttrComplete, AttrTyped, ClassExists, Constraint, Model
+
+DEFAULT_CAP = 1 << 20
+
+
+class UniverseError(ValueError):
+    pass
+
+
+class UniverseCapError(UniverseError):
+    def __init__(self, system_count: int, cap: int):
+        self.system_count = system_count
+        self.cap = cap
+        super().__init__(f"universe has {system_count} systems, exceeding the cap of {cap}")
+
+
+@dataclass(frozen=True)
+class Universe:
+    class_pool: tuple[str, ...]
+    attr_pool: tuple[str, ...]
+    type_pool: tuple[str, ...]
+    cap: int | None = DEFAULT_CAP
+    _den_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _con_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "class_pool", tuple(self.class_pool))
+        object.__setattr__(self, "attr_pool", tuple(self.attr_pool))
+        object.__setattr__(self, "type_pool", tuple(self.type_pool))
+        for kind, pool in (("class", self.class_pool), ("attribute", self.attr_pool), ("type", self.type_pool)):
+            if not pool:
+                raise UniverseError(f"empty {kind} pool")
+            if len(set(pool)) != len(pool):
+                raise UniverseError(f"duplicate names in {kind} pool: {pool}")
+        if self.cap is not None and self.system_count > self.cap:
+            raise UniverseCapError(self.system_count, self.cap)
+
+    @property
+    def attr_state_radix(self) -> int:
+        # per attribute: absent, or one of the pool types
+        return len(self.type_pool) + 1
+
+    @property
+    def class_state_count(self) -> int:
+        # per class: absent, or present with any attribute map
+        return 1 + self.attr_state_radix ** len(self.attr_pool)
+
+    @property
+    def system_count(self) -> int:
+        return self.class_state_count ** len(self.class_pool)
+
+    @property
+    def full_class_mask(self) -> int:
+        return (1 << self.class_state_count) - 1
+
+    def class_index(self, name: str) -> int:
+        try:
+            return self.class_pool.index(name)
+        except ValueError:
+            raise UniverseError(f"class {name!r} not in universe") from None
+
+    def decode_class_state(self, state: int) -> tuple[tuple[str, str], ...] | None:
+        """None for absent, else the (attr, type) pairs in attr-pool order."""
+        if state == 0:
+            return None
+        v = state - 1
+        radix = self.attr_state_radix
+        digits = []
+        for _ in self.attr_pool:
+            digits.append(v % radix)
+            v //= radix
+        digits.reverse()  # attr_pool[0] is the most significant digit
+        return tuple(
+            (a, self.type_pool[d - 1]) for a, d in zip(self.attr_pool, digits) if d != 0
+        )
+
+    def describe(self) -> str:
+        return (
+            f"{len(self.class_pool)} classes x {len(self.attr_pool)} attrs x "
+            f"{len(self.type_pool)} types ({self.system_count} systems)"
+        )
+
+
+def _enumeration_guard(u: Universe) -> None:
+    limit = u.cap if u.cap is not None else DEFAULT_CAP
+    if u.system_count > limit:
+        raise UniverseCapError(u.system_count, limit)
+
+
+@dataclass(frozen=True)
+class System:
+    universe: Universe
+    states: tuple[int, ...]  # one class-state index per pool class
+
+    def class_attrs(self, cls: str) -> dict[str, str] | None:
+        state = self.states[self.universe.class_index(cls)]
+        pairs = self.universe.decode_class_state(state)
+        return None if pairs is None else dict(pairs)
+
+    @property
+    def index(self) -> int:
+        idx = 0
+        for s in self.states:
+            idx = idx * self.universe.class_state_count + s
+        return idx
+
+    def __str__(self) -> str:
+        parts = []
+        for cls, state in zip(self.universe.class_pool, self.states):
+            pairs = self.universe.decode_class_state(state)
+            if pairs is None:
+                parts.append(f"{cls} absent")
+            else:
+                parts.append(f"{cls}{{{', '.join(f'{a}: {t}' for a, t in pairs)}}}")
+        return "; ".join(parts)
+
+
+def enumerate_systems(u: Universe):
+    """All systems in canonical mixed-radix order (first pool class is the
+    most significant digit).  Index 0 is the all-absent system."""
+    _enumeration_guard(u)
+    for states in itertools.product(range(u.class_state_count), repeat=len(u.class_pool)):
+        yield System(u, states)
+
+
+def _check_names(u: Universe, constraints) -> None:
+    for c in constraints:
+        if c.cls not in u.class_pool:
+            raise UniverseError(f"class {c.cls!r} not in universe")
+        pairs = ()
+        if isinstance(c, AttrTyped):
+            pairs = ((c.attr, c.type),)
+        elif isinstance(c, AttrComplete):
+            pairs = c.attrs
+        for a, t in pairs:
+            if a not in u.attr_pool:
+                raise UniverseError(f"attribute {a!r} not in universe")
+            if t not in u.type_pool:
+                raise UniverseError(f"type {t!r} not in universe")
+
+
+def satisfies(s: System, c: Constraint) -> bool:
+    _check_names(s.universe, (c,))
+    attrs = s.class_attrs(c.cls)
+    if isinstance(c, ClassExists):
+        return attrs is not None
+    if isinstance(c, AttrTyped):
+        return attrs is not None and attrs.get(c.attr) == c.type
+    return attrs is not None and attrs == c.attr_map()
+
+
+@dataclass(frozen=True)
+class Denotation:
+    """A product of per-class state sets; the empty denotation is canonically
+    all-zero so equality and hashing are structural."""
+
+    universe: Universe
+    class_masks: tuple[int, ...]
+
+    def __post_init__(self):
+        masks = tuple(self.class_masks)
+        if any(m == 0 for m in masks):
+            masks = (0,) * len(masks)
+        object.__setattr__(self, "class_masks", masks)
+
+    @property
+    def is_empty(self) -> bool:
+        return self.class_masks[0] == 0 and all(m == 0 for m in self.class_masks)
+
+    @property
+    def is_full(self) -> bool:
+        full = self.universe.full_class_mask
+        return all(m == full for m in self.class_masks)
+
+    @property
+    def size(self) -> int:
+        if self.is_empty:
+            return 0
+        return prod(m.bit_count() for m in self.class_masks)
+
+    def issubset(self, other: "Denotation") -> bool:
+        assert self.universe == other.universe
+        if self.is_empty:
+            return True
+        return all(a & ~b == 0 for a, b in zip(self.class_masks, other.class_masks))
+
+    def __and__(self, other: "Denotation") -> "Denotation":
+        assert self.universe == other.universe
+        return Denotation(self.universe, tuple(a & b for a, b in zip(self.class_masks, other.class_masks)))
+
+    def indices(self):
+        """Member system indices, ascending in the canonical enumeration order."""
+        if self.is_empty:
+            return
+        _enumeration_guard(self.universe)
+        state_lists = [
+            [s for s in range(self.universe.class_state_count) if mask >> s & 1]
+            for mask in self.class_masks
+        ]
+        radix = self.universe.class_state_count
+        for states in itertools.product(*state_lists):
+            idx = 0
+            for s in states:
+                idx = idx * radix + s
+            yield idx
+
+    def systems(self):
+        if self.is_empty:
+            return
+        _enumeration_guard(self.universe)
+        state_lists = [
+            [s for s in range(self.universe.class_state_count) if mask >> s & 1]
+            for mask in self.class_masks
+        ]
+        for states in itertools.product(*state_lists):
+            yield System(self.universe, states)
+
+    def to_bitset(self) -> int:
+        bits = 0
+        for idx in self.indices():
+            bits |= 1 << idx
+        return bits
+
+
+def _constraint_mask(u: Universe, c: Constraint) -> tuple[int, int]:
+    """(class index, bitset of allowed per-class states) for one constraint."""
+    cached = u._con_cache.get(c)
+    if cached is not None:
+        return cached
+    ci = u.class_index(c.cls)
+    count = u.class_state_count
+    radix = u.attr_state_radix
+    n_attrs = len(u.attr_pool)
+    if isinstance(c, ClassExists):
+        mask = ((1 << count) - 1) & ~1
+    elif isinstance(c, AttrTyped):
+        j = u.attr_pool.index(c.attr)
+        want = u.type_pool.index(c.type) + 1
+        step = radix ** (n_attrs - 1 - j)
+        mask = 0
+        for state in range(1, count):
+            if (state - 1) // step % radix == want:
+                mask |= 1 << state
+    else:  # AttrComplete: exactly one matching state
+        digits = [0] * n_attrs
+        for a, t in c.attrs:
+            digits[u.attr_pool.index(a)] = u.type_pool.index(t) + 1
+        v = 0
+        for d in digits:
+            v = v * radix + d
+        mask = 1 << (v + 1)
+    result = (ci, mask)
+    with u._lock:
+        u._con_cache.setdefault(c, result)
+    return result
+
+
+def denotation(m: Model, u: Universe) -> Denotation:
+    """The exact set of universe systems satisfying every constraint of m."""
+    _check_names(u, m.constraints)
+    key = frozenset(m.constraints)
+    with u._lock:
+        d = u._den_cache.get(key)
+    if d is None:
+        masks = [u.full_class_mask] * len(u.class_pool)
+        for c in m.constraints:
+            ci, cm = _constraint_mask(u, c)
+            masks[ci] &= cm
+        d = Denotation(u, tuple(masks))
+        with u._lock:
+            d = u._den_cache.setdefault(key, d)
+    return d
+
+
+def is_consistent(m: Model, u: Universe) -> bool:
+    return not denotation(m, u).is_empty
+
+
+def is_uninformative(m: Model, u: Universe) -> bool:
+    return denotation(m, u).is_full
+
+
+def refines(m2: Model, m1: Model, u: Universe) -> bool:
+    return denotation(m2, u).issubset(denotation(m1, u))
+
+
+def semantically_eq(m1: Model, m2: Model, u: Universe) -> bool:
+    return denotation(m1, u) == denotation(m2, u)
+
+
+def build_universe(
+    models,
+    fresh_classes: int = 1,
+    fresh_attrs: int = 1,
+    fresh_types: int = 1,
+    cap: int | None = DEFAULT_CAP,
+) -> Universe:
+    """Pools = names occurring in the models (first-occurrence order) plus
+    synthetic fresh names approximating the openness of loose semantics."""
+    if min(fresh_classes, fresh_attrs, fresh_types) < 0:
+        raise ValueError("fresh-name counts must be >= 0")
+    classes: list[str] = []
+    attrs: list[str] = []
+    types: list[str] = []
+
+    def add(pool: list[str], name: str) -> None:
+        if name not in pool:
+            pool.append(name)
+
+    for m in models:
+        for c in m.constraints:
+            add(classes, c.cls)
+            if isinstance(c, AttrTyped):
+                add(attrs, c.attr)
+                add(types, c.type)
+            elif isinstance(c, AttrComplete):
+                for a, t in c.attrs:
+                    add(attrs, a)
+                    add(types, t)
+    classes += [f"_C{i}" for i in range(1, fresh_classes + 1)]
+    attrs += [f"_a{i}" for i in range(1, fresh_attrs + 1)]
+    types += [f"_T{i}" for i in range(1, fresh_types + 1)]
+    return Universe(tuple(classes), tuple(attrs), tuple(types), cap=cap)
+
+
+def universe_from_spec(spec: dict, cap: int | None = DEFAULT_CAP) -> Universe:
+    return Universe(tuple(spec["classes"]), tuple(spec["attrs"]), tuple(spec["types"]), cap=cap)
+
+
+def load_universe(path, cap: int | None = DEFAULT_CAP) -> Universe:
+    with open(path, encoding="utf-8") as fh:
+        return universe_from_spec(json.load(fh), cap=cap)
