@@ -31,10 +31,45 @@ TRIPLE_SAMPLES = 10_000
 EXHAUSTIVE_TRIPLE_LIMIT = 20
 
 TABLE1_PROPS = ("PP_l", "PP_r", "PP", "FPP", "CP", "Com", "Ass", "Com_sm", "Ass_sm")
-TABLE2_PROPS = (
-    "Rn", "Ln", "N", "Ra", "La", "A", "Ri", "Li", "I",
-    "Rn_comp", "Ln_comp", "N_comp", "Ra_comp", "La_comp", "A_comp",
-    "Ri_comp", "Li_comp", "I_comp",
+
+# Table 2 as data.  Each row names a special-element relation and the terms,
+# built from a corpus model m1 and the candidate element m, that must all
+# coincide.  Every row is checked syntactically (as the row's property) and
+# semantically (as its "_comp" twin).
+TABLE2 = (
+    ("Rn", ("op(m1,m)", "m1")),
+    ("Ln", ("op(m,m1)", "m1")),
+    ("N", ("op(m1,m)", "op(m,m1)", "m1")),
+    ("Ra", ("op(m1,m)", "m")),
+    ("La", ("op(m,m1)", "m")),
+    ("A", ("op(m1,m)", "op(m,m1)", "m")),
+    ("Ri", ("op(op(m1,m),m)", "op(m1,m)")),
+    ("Li", ("op(m,op(m,m1))", "op(m1,m)")),  # as printed in the paper, not op(m,m1)
+    ("I", ("op(m,op(m,m1))", "op(op(m1,m),m)", "op(m1,m)")),
+)
+TABLE2_PROPS = tuple(p for p, _ in TABLE2) + tuple(p + "_comp" for p, _ in TABLE2)
+
+# Table 1's dependency column: (premises, connective, conclusion).
+TABLE1_DEPENDENCIES = (
+    (("PP_l", "PP_r"), "<=>", "PP"),
+    (("FPP",), "=>", "PP"),
+    (("FPP",), "=>", "CP"),
+    (("Com",), "=>", "Com_sm"),
+    (("Ass",), "=>", "Ass_sm"),
+)
+
+# Table 2's dependency column, generated from TABLE2: a three-term relation
+# holds exactly when the two-term relations over its terms do, syntactically
+# and semantically, and a syntactic relation implies its semantic twin.
+_IFFS = [
+    (tuple(p for p, pair in TABLE2 if len(pair) == 2 and set(pair) <= set(terms)), prop)
+    for prop, terms in TABLE2
+    if len(terms) == 3
+]
+TABLE2_DEPENDENCIES = (
+    *((pre, "<=>", prop) for pre, prop in _IFFS),
+    *((tuple(p + "_comp" for p in pre), "<=>", prop + "_comp") for pre, prop in _IFFS),
+    *(((p,), "=>", p + "_comp") for p, _ in TABLE2),
 )
 
 
@@ -251,86 +286,40 @@ def _check_associativity(comp: _Composer, corpus: Corpus, u: Universe, scope: st
 # --- table 2 ---------------------------------------------------------------
 
 
+def _element_row(prop: str, terms: tuple[str, ...]) -> tuple:
+    """A TABLE2 row as _check_element uses it: the terms, the terms compared
+    (a two-term row repeats its last term, so that every row compares three),
+    the composition terms a syntactic witness shows, and the syntactic and
+    semantic relation texts."""
+    sm = [f"sm({t})" for t in terms]
+    if len(terms) == 2:
+        relations = f"{terms[0]} syntactically equals {terms[1]}", f"{sm[0]} equals {sm[1]}"
+    else:
+        relations = " = ".join(terms) + " syntactically", " = ".join(sm)
+    shown = [t for t in terms if t.startswith("op(")]
+    return prop, terms, (*terms, terms[-1])[:3], shown, *relations
+
+
+_ELEMENT_ROWS = [_element_row(prop, terms) for prop, terms in TABLE2]
+
+
 def _check_element(comp: _Composer, m: Model, corpus: Corpus, u: Universe, scope: str) -> dict:
     fails: dict[str, list[Witness]] = {p: [] for p in TABLE2_PROPS}
     dm = denotation(m, u)
     for m1 in corpus.models:
-        rm = comp(m1, m)  # m1 (x) m
-        lm = comp(m, m1)  # m (x) m1
-        rr = comp(rm, m)  # (m1 (x) m) (x) m
-        ll = comp(m, lm)  # m (x) (m (x) m1)
-        d1 = denotation(m1, u)
-        drm = denotation(rm, u)
-        dlm = denotation(lm, u)
-        drr = denotation(rr, u)
-        dll = denotation(ll, u)
+        rm, lm = comp(m1, m), comp(m, m1)
+        terms = {"m1": m1, "m": m, "op(m1,m)": rm, "op(m,m1)": lm,
+                 "op(op(m1,m),m)": comp(rm, m), "op(m,op(m,m1))": comp(m, lm)}
+        dens = {t: dm if t == "m" else denotation(x, u) for t, x in terms.items()}
         pair = (_show(m1), _show(m))
-
-        def fail(prop: str, relation: str, observed: str) -> None:
-            fails[prop].append(Witness(pair, relation, observed))
-
-        rn = syntactic_eq(rm, m1)
-        ln = syntactic_eq(lm, m1)
-        ra = syntactic_eq(rm, m)
-        la = syntactic_eq(lm, m)
-        ri = syntactic_eq(rr, rm)
-        li = syntactic_eq(ll, rm)  # as printed: m (x) (m (x) m1) = m1 (x) m
-        if not rn:
-            fail("Rn", "op(m1,m) syntactically equals m1", f"op(m1,m)={_show(rm)}")
-        if not ln:
-            fail("Ln", "op(m,m1) syntactically equals m1", f"op(m,m1)={_show(lm)}")
-        if not (rn and ln):
-            fail("N", "op(m1,m) = op(m,m1) = m1 syntactically",
-                 f"op(m1,m)={_show(rm)}; op(m,m1)={_show(lm)}")
-        if not ra:
-            fail("Ra", "op(m1,m) syntactically equals m", f"op(m1,m)={_show(rm)}")
-        if not la:
-            fail("La", "op(m,m1) syntactically equals m", f"op(m,m1)={_show(lm)}")
-        if not (ra and la):
-            fail("A", "op(m1,m) = op(m,m1) = m syntactically",
-                 f"op(m1,m)={_show(rm)}; op(m,m1)={_show(lm)}")
-        if not ri:
-            fail("Ri", "op(op(m1,m),m) syntactically equals op(m1,m)",
-                 f"op(op(m1,m),m)={_show(rr)}; op(m1,m)={_show(rm)}")
-        if not li:
-            fail("Li", "op(m,op(m,m1)) syntactically equals op(m1,m)",
-                 f"op(m,op(m,m1))={_show(ll)}; op(m1,m)={_show(rm)}")
-        if not (ri and li):
-            fail("I", "op(m,op(m,m1)) = op(op(m1,m),m) = op(m1,m) syntactically",
-                 f"op(m,op(m,m1))={_show(ll)}; op(op(m1,m),m)={_show(rr)}; op(m1,m)={_show(rm)}")
-
-        rn_c = drm == d1
-        ln_c = dlm == d1
-        ra_c = drm == dm
-        la_c = dlm == dm
-        ri_c = drr == drm
-        li_c = dll == drm
-        if not rn_c:
-            fail("Rn_comp", "sm(op(m1,m)) equals sm(m1)", f"|sm(op(m1,m))|={drm.size}, |sm(m1)|={d1.size}")
-        if not ln_c:
-            fail("Ln_comp", "sm(op(m,m1)) equals sm(m1)", f"|sm(op(m,m1))|={dlm.size}, |sm(m1)|={d1.size}")
-        if not (rn_c and ln_c):
-            fail("N_comp", "sm(op(m1,m)) = sm(op(m,m1)) = sm(m1)",
-                 f"|sm(op(m1,m))|={drm.size}, |sm(op(m,m1))|={dlm.size}, |sm(m1)|={d1.size}")
-        if not ra_c:
-            fail("Ra_comp", "sm(op(m1,m)) equals sm(m)", f"|sm(op(m1,m))|={drm.size}, |sm(m)|={dm.size}")
-        if not la_c:
-            fail("La_comp", "sm(op(m,m1)) equals sm(m)", f"|sm(op(m,m1))|={dlm.size}, |sm(m)|={dm.size}")
-        if not (ra_c and la_c):
-            fail("A_comp", "sm(op(m1,m)) = sm(op(m,m1)) = sm(m)",
-                 f"|sm(op(m1,m))|={drm.size}, |sm(op(m,m1))|={dlm.size}, |sm(m)|={dm.size}")
-        if not ri_c:
-            fail("Ri_comp", "sm(op(op(m1,m),m)) equals sm(op(m1,m))",
-                 f"|sm(op(op(m1,m),m))|={drr.size}, |sm(op(m1,m))|={drm.size}")
-        if not li_c:
-            fail("Li_comp", "sm(op(m,op(m,m1))) equals sm(op(m1,m))",
-                 f"|sm(op(m,op(m,m1)))|={dll.size}, |sm(op(m1,m))|={drm.size}")
-        if not (ri_c and li_c):
-            fail("I_comp", "sm(op(m,op(m,m1))) = sm(op(op(m1,m),m)) = sm(op(m1,m))",
-                 f"|sm(op(m,op(m,m1)))|={dll.size}, |sm(op(op(m1,m),m))|={drr.size}, |sm(op(m1,m))|={drm.size}")
-
-    n = len(corpus.models)
-    return {p: _verdict(p, fails[p], n, True, scope) for p in TABLE2_PROPS}
+        for prop, names, (a, b, c), shown, syn_relation, sem_relation in _ELEMENT_ROWS:
+            if not (syntactic_eq(terms[a], terms[b]) and syntactic_eq(terms[b], terms[c])):
+                observed = "; ".join([f"{t}={_show(terms[t])}" for t in shown])
+                fails[prop].append(Witness(pair, syn_relation, observed))
+            if not dens[a] == dens[b] == dens[c]:
+                observed = ", ".join([f"|sm({t})|={dens[t].size}" for t in names])
+                fails[prop + "_comp"].append(Witness(pair, sem_relation, observed))
+    return {p: _verdict(p, fails[p], len(corpus.models), True, scope) for p in TABLE2_PROPS}
 
 
 # --- public single checks --------------------------------------------------
@@ -409,42 +398,17 @@ def congruence_check(op, partition: Partition, u: Universe) -> Verdict:
 
 # --- implication audit -----------------------------------------------------
 
-_SYN_TO_COMP = {
-    "Rn": "Rn_comp", "Ln": "Ln_comp", "N": "N_comp",
-    "Ra": "Ra_comp", "La": "La_comp", "A": "A_comp",
-    "Ri": "Ri_comp", "Li": "Li_comp", "I": "I_comp",
-}
-
 
 def _implication_audit(table1: dict, table2) -> tuple[str, ...]:
-    bad: list[str] = []
-
-    def imp(name: str, a: bool, b: bool) -> None:
-        if a and not b:
-            bad.append(name)
-
-    def iff(name: str, a: bool, b: bool) -> None:
-        if a != b:
-            bad.append(name)
-
-    t = {p: v.holds for p, v in table1.items()}
-    iff("PP_l & PP_r <=> PP", t["PP_l"] and t["PP_r"], t["PP"])
-    imp("FPP => PP", t["FPP"], t["PP"])
-    imp("FPP => CP", t["FPP"], t["CP"])
-    imp("Com => Com_sm", t["Com"], t["Com_sm"])
-    imp("Ass => Ass_sm", t["Ass"], t["Ass_sm"])
-
-    for idx, props in table2:
-        e = {p: v.holds for p, v in props.items()}
-        tag = f"element {idx}: "
-        iff(tag + "Rn & Ln <=> N", e["Rn"] and e["Ln"], e["N"])
-        iff(tag + "Ra & La <=> A", e["Ra"] and e["La"], e["A"])
-        iff(tag + "Ri & Li <=> I", e["Ri"] and e["Li"], e["I"])
-        iff(tag + "Rn_comp & Ln_comp <=> N_comp", e["Rn_comp"] and e["Ln_comp"], e["N_comp"])
-        iff(tag + "Ra_comp & La_comp <=> A_comp", e["Ra_comp"] and e["La_comp"], e["A_comp"])
-        iff(tag + "Ri_comp & Li_comp <=> I_comp", e["Ri_comp"] and e["Li_comp"], e["I_comp"])
-        for syn, comp_ in _SYN_TO_COMP.items():
-            imp(f"{tag}{syn} => {comp_}", e[syn], e[comp_])
+    checks = [("", TABLE1_DEPENDENCIES, table1)]
+    checks += [(f"element {idx}: ", TABLE2_DEPENDENCIES, props) for idx, props in table2]
+    bad = []
+    for tag, dependencies, verdicts in checks:
+        for premises, connective, conclusion in dependencies:
+            a = all(verdicts[p].holds for p in premises)
+            b = verdicts[conclusion].holds
+            if (a != b) if connective == "<=>" else (a and not b):
+                bad.append(f"{tag}{' & '.join(premises)} {connective} {conclusion}")
     return tuple(bad)
 
 

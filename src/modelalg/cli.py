@@ -36,6 +36,8 @@ def _padding(text: str) -> tuple[int, int, int]:
         c, a, t = (int(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError("padding counts must be integers") from None
+    if min(c, a, t) < 0:
+        raise argparse.ArgumentTypeError("padding counts must be >= 0")
     return c, a, t
 
 
@@ -52,9 +54,8 @@ def _load_model(path: str):
 
 
 def _resolve_universe(models, args):
-    pad = getattr(args, "padding", (1, 1, 1))
     if args.universe == "auto":
-        return build_universe(models, *pad)
+        return build_universe(models, *args.padding)
     try:
         return load_universe(args.universe)
     except OSError as exc:
@@ -76,7 +77,10 @@ def _load_corpus(args) -> algebra.Corpus:
 
 def _emit(text: str, args) -> None:
     if getattr(args, "output", None):
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output}: {exc}", 2) from exc
     else:
         sys.stdout.write(text)
 
@@ -107,21 +111,23 @@ def cmd_sm(args) -> int:
     return 0
 
 
+# predicate -> (number of models, test over their denotations)
+_CHECKS = {
+    "refines": (2, lambda d: d[0].issubset(d[1])),
+    "eq": (2, lambda d: d[0] == d[1]),
+    "consistent": (1, lambda d: not d[0].is_empty),
+    "uninformative": (1, lambda d: d[0].is_full),
+}
+
+
 def cmd_check(args) -> int:
+    arity, test = _CHECKS[args.predicate]
+    if len(args.inputs) != arity:
+        count = "one model" if arity == 1 else "two models"
+        raise CliError(f"check {args.predicate} needs exactly {count}", 2)
     models = [_load_model(p) for p in args.inputs]
     u = _resolve_universe(models, args)
-    if args.predicate == "refines":
-        if len(models) != 2:
-            raise CliError("check refines needs exactly two models", 2)
-        result = denotation(models[0], u).issubset(denotation(models[1], u))
-    elif args.predicate == "eq":
-        if len(models) != 2:
-            raise CliError("check eq needs exactly two models", 2)
-        result = denotation(models[0], u) == denotation(models[1], u)
-    elif args.predicate == "consistent":
-        result = not denotation(models[0], u).is_empty
-    else:  # uninformative
-        result = denotation(models[0], u).is_full
+    result = test([denotation(m, u) for m in models])
     _emit(("true" if result else "false") + "\n", args)
     return 0
 
@@ -172,7 +178,6 @@ def cmd_stability(args) -> int:
 def _add_common(sub, universe=True, corpus=False) -> None:
     sub.add_argument("--seed", type=int, default=42)
     sub.add_argument("--output", default=None, help="write output to a file instead of stdout")
-    sub.add_argument("--jobs", type=int, default=1, help="bound on internal parallelism")
     if universe:
         sub.add_argument("--universe", default="auto", help="'auto' or a JSON universe spec path")
         sub.add_argument("--padding", type=_padding, default=(1, 1, 1),
@@ -198,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sm)
 
     p = subs.add_parser("check", help="pairwise semantic predicates")
-    p.add_argument("predicate", choices=("refines", "eq", "consistent", "uninformative"))
+    p.add_argument("predicate", choices=tuple(_CHECKS))
     p.add_argument("inputs", nargs="+", metavar="MODEL.mcd")
     _add_common(p)
     p.set_defaults(func=cmd_check)

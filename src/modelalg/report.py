@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from .algebra import OperatorReport, Partition, StabilityReport, Verdict
+from .algebra import OperatorReport, Partition, StabilityReport, Verdict, _show
 from .syntax import render
 
 
@@ -47,10 +47,6 @@ def report_to_json(r: OperatorReport) -> str:
     return json.dumps(report_to_dict(r), indent=2) + "\n"
 
 
-def _one_line(m_text: str) -> str:
-    return m_text.replace("\n", " ").strip() or "<empty>"
-
-
 def report_to_text(r: OperatorReport) -> str:
     lines = [
         f"operator: {r.operator}",
@@ -68,7 +64,7 @@ def report_to_text(r: OperatorReport) -> str:
     lines += ["", "Table 2 (special elements; + holds, - fails)"]
     for idx, props in r.table2:
         flags = " ".join(f"{p}{'+' if v.holds else '-'}" for p, v in props.items())
-        lines.append(f"  model {idx:02d} `{_one_line(render(r.corpus.models[idx]))}`")
+        lines.append(f"  model {idx:02d} `{_show(r.corpus.models[idx])}`")
         lines.append(f"    {flags}")
     lines.append("")
     if r.implication_audit:
@@ -94,7 +90,7 @@ def partition_to_text(p: Partition) -> str:
     lines = [f"{len(p.classes)} semantic classes over {len(p.corpus.models)} models"]
     for k, cls in enumerate(p.classes):
         members = " ".join(f"#{i}" for i in cls)
-        rep = _one_line(render(p.corpus.models[cls[0]]))
+        rep = _show(p.corpus.models[cls[0]])
         lines.append(f"  class {k}: {members}")
         lines.append(f"    representative: {rep}")
     return "\n".join(lines) + "\n"

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import threading
 from dataclasses import dataclass, field
 from math import prod
 
-from .syntax import AttrComplete, AttrTyped, ClassExists, Constraint, Model
+from .syntax import IDENT_RE, AttrComplete, AttrTyped, ClassExists, Constraint, Model
 
 DEFAULT_CAP = 1 << 20
 
@@ -45,7 +44,6 @@ class Universe:
     cap: int | None = DEFAULT_CAP
     _den_cache: dict = field(default_factory=dict, compare=False, repr=False)
     _con_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "class_pool", tuple(self.class_pool))
@@ -189,7 +187,7 @@ class Denotation:
 
     @property
     def is_empty(self) -> bool:
-        return self.class_masks[0] == 0 and all(m == 0 for m in self.class_masks)
+        return self.class_masks[0] == 0  # __post_init__ zeroes every mask if one is zero
 
     @property
     def is_full(self) -> bool:
@@ -203,40 +201,34 @@ class Denotation:
         return prod(m.bit_count() for m in self.class_masks)
 
     def issubset(self, other: "Denotation") -> bool:
-        assert self.universe == other.universe
+        if self.universe != other.universe:
+            raise UniverseError("denotations belong to different universes")
         if self.is_empty:
             return True
         return all(a & ~b == 0 for a, b in zip(self.class_masks, other.class_masks))
 
     def __and__(self, other: "Denotation") -> "Denotation":
-        assert self.universe == other.universe
+        if self.universe != other.universe:
+            raise UniverseError("denotations belong to different universes")
         return Denotation(self.universe, tuple(a & b for a, b in zip(self.class_masks, other.class_masks)))
+
+    def _member_states(self):
+        """Member state tuples in the canonical enumeration order."""
+        if self.is_empty:
+            return
+        _enumeration_guard(self.universe)
+        count = self.universe.class_state_count
+        yield from itertools.product(
+            *([s for s in range(count) if mask >> s & 1] for mask in self.class_masks)
+        )
 
     def indices(self):
         """Member system indices, ascending in the canonical enumeration order."""
-        if self.is_empty:
-            return
-        _enumeration_guard(self.universe)
-        state_lists = [
-            [s for s in range(self.universe.class_state_count) if mask >> s & 1]
-            for mask in self.class_masks
-        ]
-        radix = self.universe.class_state_count
-        for states in itertools.product(*state_lists):
-            idx = 0
-            for s in states:
-                idx = idx * radix + s
-            yield idx
+        for states in self._member_states():
+            yield System(self.universe, states).index
 
     def systems(self):
-        if self.is_empty:
-            return
-        _enumeration_guard(self.universe)
-        state_lists = [
-            [s for s in range(self.universe.class_state_count) if mask >> s & 1]
-            for mask in self.class_masks
-        ]
-        for states in itertools.product(*state_lists):
+        for states in self._member_states():
             yield System(self.universe, states)
 
     def to_bitset(self) -> int:
@@ -273,9 +265,7 @@ def _constraint_mask(u: Universe, c: Constraint) -> tuple[int, int]:
         for d in digits:
             v = v * radix + d
         mask = 1 << (v + 1)
-    result = (ci, mask)
-    with u._lock:
-        u._con_cache.setdefault(c, result)
+    result = u._con_cache[c] = (ci, mask)
     return result
 
 
@@ -283,16 +273,13 @@ def denotation(m: Model, u: Universe) -> Denotation:
     """The exact set of universe systems satisfying every constraint of m."""
     _check_names(u, m.constraints)
     key = frozenset(m.constraints)
-    with u._lock:
-        d = u._den_cache.get(key)
+    d = u._den_cache.get(key)
     if d is None:
         masks = [u.full_class_mask] * len(u.class_pool)
         for c in m.constraints:
             ci, cm = _constraint_mask(u, c)
             masks[ci] &= cm
-        d = Denotation(u, tuple(masks))
-        with u._lock:
-            d = u._den_cache.setdefault(key, d)
+        d = u._den_cache[key] = Denotation(u, tuple(masks))
     return d
 
 
@@ -348,9 +335,20 @@ def build_universe(
 
 
 def universe_from_spec(spec: dict, cap: int | None = DEFAULT_CAP) -> Universe:
-    return Universe(tuple(spec["classes"]), tuple(spec["attrs"]), tuple(spec["types"]), cap=cap)
+    try:
+        pools = [tuple(spec[key]) for key in ("classes", "attrs", "types")]
+    except (KeyError, TypeError):
+        raise UniverseError("universe spec needs 'classes', 'attrs' and 'types' lists") from None
+    for name in itertools.chain(*pools):
+        if not isinstance(name, str) or not IDENT_RE.match(name):
+            raise UniverseError(f"invalid name in universe spec: {name!r}")
+    return Universe(*pools, cap=cap)
 
 
 def load_universe(path, cap: int | None = DEFAULT_CAP) -> Universe:
     with open(path, encoding="utf-8") as fh:
-        return universe_from_spec(json.load(fh), cap=cap)
+        try:
+            spec = json.load(fh)
+        except ValueError as exc:  # malformed JSON or text
+            raise UniverseError(f"universe spec {path} is not valid JSON: {exc}") from None
+    return universe_from_spec(spec, cap=cap)

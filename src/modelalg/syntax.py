@@ -105,27 +105,6 @@ def mentioned_classes(m: Model) -> list[str]:
     return out
 
 
-def well_formed(m: Model) -> tuple[bool, list[Diagnostic]]:
-    """Purely lexical/structural check; contradictions are legal and denote the
-    empty set of systems."""
-    diags: list[Diagnostic] = []
-    for i, c in enumerate(m.constraints):
-        names = [(c.cls, "class")]
-        if isinstance(c, AttrTyped):
-            names += [(c.attr, "attribute"), (c.type, "type")]
-        elif isinstance(c, AttrComplete):
-            seen = set()
-            for a, t in c.attrs:
-                names += [(a, "attribute"), (t, "type")]
-                if a in seen:
-                    diags.append(Diagnostic("error", f"constraint {i}: duplicate attribute {a!r}", 0, 0))
-                seen.add(a)
-        for name, what in names:
-            if not IDENT_RE.match(name):
-                diags.append(Diagnostic("error", f"constraint {i}: invalid {what} name {name!r}", 0, 0))
-    return (not diags, diags)
-
-
 # --- lexer -----------------------------------------------------------------
 
 _KEYWORDS = {"class", "complete"}

@@ -5,6 +5,7 @@ produced by the checker are re-validated against the independent
 enumeration oracle in tests/oracle.py wherever a criterion demands it.
 """
 
+import hashlib
 import random
 import sys
 import time
@@ -30,7 +31,7 @@ from modelalg import (
     union_merge,
 )
 from modelalg.operators import OPERATORS
-from modelalg.report import report_to_json
+from modelalg.report import report_to_json, report_to_text
 
 from .oracle import EnumOracle, parse_witness
 from .strategies import ATTRS, CLASSES, TINY_UNIVERSE, TYPES
@@ -273,3 +274,39 @@ def test_criterion_9_byte_identical_reports():
     ok = docs[0] == docs[1]
     _line(9, "two fresh classify runs serialize to byte-identical reports", ok)
     assert ok
+
+
+# sha256 of report_to_json and report_to_text for each operator on the
+# default corpus.  A change that keeps behaviour must keep these bytes.
+GOLDEN_REPORTS = {
+    "union": (
+        "fa0487223035644da6368a7faa3198770105e99903d33e68d0c44ec0b3c61631",
+        "8c3d35bd4a9b909011f864484f7393c35c2918432172d0d397e53ec86cccdf1f",
+    ),
+    "strict": (
+        "18777dcfb204829ffc5f3812317636f63970a22de86db91aeb9a1ba6835a3f53",
+        "a0c158a1fdf2899ebb1605a121fc2050c5bc3ea5867d2fc59bfc6932004280c9",
+    ),
+    "override": (
+        "3a42afc59f92e767aa194f26ac96a35bd37e4263a44e62470caf036bc28e80fc",
+        "b853ef5a01d88b8aae8752a05bb53d1af7005e3c1058e62cdda020ceb97b6402",
+    ),
+    "intersect": (
+        "ace27bc62e27a64ad18b961e00424562ccea1bc56021ebb58d48840d02a99026",
+        "4e5c577b3b9255433e93db5a3c568660c53d37a53ad0993f993b32bbf125a238",
+    ),
+    "paranoid": (
+        "1c59a93addc8686ea5728d70c971f21c12c0df4b627246fdd0451e865134d21d",
+        "b29d66f2143a1635898ecadd29c03eb10271dcc39ae3192d2699c14cb3686d06",
+    ),
+}
+
+
+@pytest.mark.parametrize("op", ALL_OPS)
+def test_golden_report_bytes(reports, op):
+    rep = reports[op]
+    got = tuple(
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for text in (report_to_json(rep), report_to_text(rep))
+    )
+    assert got == GOLDEN_REPORTS[op]

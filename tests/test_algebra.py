@@ -23,7 +23,7 @@ from modelalg import (
     stability_check,
     union_merge,
 )
-from modelalg.algebra import TABLE1_PROPS, TABLE2_PROPS
+from modelalg.algebra import TABLE1_PROPS, TABLE2_PROPS, Verdict, _implication_audit
 
 from .oracle import EnumOracle, parse_witness
 
@@ -225,6 +225,112 @@ def test_false_verdicts_carry_witnesses(small_corpus, small_universe):
     for v in report.table1.values():
         if not v.holds:
             assert v.witnesses
+
+
+# --- implication audit ------------------------------------------------------
+
+# Violations reported when one verdict of an otherwise all-true (flip to
+# false) or all-false (flip to true) table is flipped.
+T1_FLIP_TO_FALSE = {
+    "PP_l": ["PP_l & PP_r <=> PP"],
+    "PP_r": ["PP_l & PP_r <=> PP"],
+    "PP": ["PP_l & PP_r <=> PP", "FPP => PP"],
+    "FPP": [],
+    "CP": ["FPP => CP"],
+    "Com": [],
+    "Ass": [],
+    "Com_sm": ["Com => Com_sm"],
+    "Ass_sm": ["Ass => Ass_sm"],
+}
+T1_FLIP_TO_TRUE = {
+    "PP_l": [],
+    "PP_r": [],
+    "PP": ["PP_l & PP_r <=> PP"],
+    "FPP": ["FPP => PP", "FPP => CP"],
+    "CP": [],
+    "Com": ["Com => Com_sm"],
+    "Ass": ["Ass => Ass_sm"],
+    "Com_sm": [],
+    "Ass_sm": [],
+}
+T2_FLIP_TO_FALSE = {
+    "Rn": ["Rn & Ln <=> N"],
+    "Ln": ["Rn & Ln <=> N"],
+    "N": ["Rn & Ln <=> N"],
+    "Ra": ["Ra & La <=> A"],
+    "La": ["Ra & La <=> A"],
+    "A": ["Ra & La <=> A"],
+    "Ri": ["Ri & Li <=> I"],
+    "Li": ["Ri & Li <=> I"],
+    "I": ["Ri & Li <=> I"],
+    "Rn_comp": ["Rn_comp & Ln_comp <=> N_comp", "Rn => Rn_comp"],
+    "Ln_comp": ["Rn_comp & Ln_comp <=> N_comp", "Ln => Ln_comp"],
+    "N_comp": ["Rn_comp & Ln_comp <=> N_comp", "N => N_comp"],
+    "Ra_comp": ["Ra_comp & La_comp <=> A_comp", "Ra => Ra_comp"],
+    "La_comp": ["Ra_comp & La_comp <=> A_comp", "La => La_comp"],
+    "A_comp": ["Ra_comp & La_comp <=> A_comp", "A => A_comp"],
+    "Ri_comp": ["Ri_comp & Li_comp <=> I_comp", "Ri => Ri_comp"],
+    "Li_comp": ["Ri_comp & Li_comp <=> I_comp", "Li => Li_comp"],
+    "I_comp": ["Ri_comp & Li_comp <=> I_comp", "I => I_comp"],
+}
+T2_FLIP_TO_TRUE = {
+    "Rn": ["Rn => Rn_comp"],
+    "Ln": ["Ln => Ln_comp"],
+    "N": ["Rn & Ln <=> N", "N => N_comp"],
+    "Ra": ["Ra => Ra_comp"],
+    "La": ["La => La_comp"],
+    "A": ["Ra & La <=> A", "A => A_comp"],
+    "Ri": ["Ri => Ri_comp"],
+    "Li": ["Li => Li_comp"],
+    "I": ["Ri & Li <=> I", "I => I_comp"],
+    "Rn_comp": [],
+    "Ln_comp": [],
+    "N_comp": ["Rn_comp & Ln_comp <=> N_comp"],
+    "Ra_comp": [],
+    "La_comp": [],
+    "A_comp": ["Ra_comp & La_comp <=> A_comp"],
+    "Ri_comp": [],
+    "Li_comp": [],
+    "I_comp": ["Ri_comp & Li_comp <=> I_comp"],
+}
+
+
+def _verdicts(props, holds: bool, flipped=()) -> dict:
+    return {p: Verdict(p, holds != (p in flipped), (), True, 1, "test") for p in props}
+
+
+@pytest.mark.parametrize("base", [True, False])
+@pytest.mark.parametrize("prop", TABLE1_PROPS)
+def test_audit_reports_each_table1_dependency(prop, base):
+    expected = (T1_FLIP_TO_FALSE if base else T1_FLIP_TO_TRUE)[prop]
+    table1 = _verdicts(TABLE1_PROPS, base, {prop})
+    table2 = ((4, _verdicts(TABLE2_PROPS, base)),)
+    assert _implication_audit(table1, table2) == tuple(expected)
+
+
+@pytest.mark.parametrize("base", [True, False])
+@pytest.mark.parametrize("prop", TABLE2_PROPS)
+def test_audit_reports_each_table2_dependency(prop, base):
+    expected = (T2_FLIP_TO_FALSE if base else T2_FLIP_TO_TRUE)[prop]
+    table1 = _verdicts(TABLE1_PROPS, base)
+    table2 = ((0, _verdicts(TABLE2_PROPS, base)), (7, _verdicts(TABLE2_PROPS, base, {prop})))
+    assert _implication_audit(table1, table2) == tuple(f"element 7: {v}" for v in expected)
+
+
+def test_audit_order_table1_then_elements_iffs_before_implications():
+    syntactic = TABLE2_PROPS[:9]
+    table1 = _verdicts(TABLE1_PROPS, True, {"CP"})
+    table2 = (
+        (3, _verdicts(TABLE2_PROPS, True, {"N", "I_comp"})),
+        (1, _verdicts(TABLE2_PROPS, True, set(TABLE2_PROPS[9:]))),
+    )
+    assert _implication_audit(table1, table2) == (
+        "FPP => CP",
+        "element 3: Rn & Ln <=> N",
+        "element 3: Ri_comp & Li_comp <=> I_comp",
+        "element 3: I => I_comp",
+        *(f"element 1: {p} => {p}_comp" for p in syntactic),
+    )
 
 
 # --- quotient and congruence ------------------------------------------------

@@ -25,6 +25,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_refused(capsys, *argv):
+    """Exit code and stderr of a run that ends in an input error, whether it
+    is reported by argparse (SystemExit) or by main's return code."""
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
 def test_compose_union(files, capsys):
     code, out, _ = run(capsys, "compose", "--operator", "union", files / "name.mcd", files / "age.mcd")
     assert code == 0
@@ -106,6 +116,49 @@ def test_check_consistent_and_eq(files, capsys):
 def test_check_uninformative(files, capsys):
     code, out, _ = run(capsys, "check", "uninformative", files / "empty.mcd")
     assert code == 0 and out == "true\n"
+
+
+@pytest.mark.parametrize("predicate, count", [
+    ("consistent", 3), ("uninformative", 2), ("refines", 1), ("eq", 3),
+])
+def test_check_wrong_number_of_models(files, capsys, predicate, count):
+    code, out, err = run(capsys, "check", predicate, *[files / "name.mcd"] * count)
+    assert code == 2 and out == ""
+    assert err.startswith(f"check {predicate} needs exactly ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec, message", [
+    (json.dumps({"classes": ["Person"], "attrs": ["name"]}), "needs 'classes', 'attrs' and 'types'"),
+    ("classes: [Person]", "is not valid JSON"),
+    (json.dumps({"classes": ["bad name"], "attrs": ["name"], "types": ["String"]}),
+     "invalid name in universe spec: 'bad name'"),
+])
+def test_bad_universe_spec_exits_2(files, capsys, spec, message):
+    (files / "spec.json").write_text(spec)
+    code, err = run_refused(capsys, "sm", files / "name.mcd", "--universe", files / "spec.json")
+    assert code == 2
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_negative_padding_exits_2(files, capsys):
+    code, err = run_refused(capsys, "sm", files / "name.mcd", "--padding=-1,0,0")
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.rstrip("\n").splitlines()[-1].endswith("padding counts must be >= 0")
+
+
+def test_unwritable_output_exits_2(files, capsys):
+    target = files / "no_such_dir" / "out.mcd"
+    code, err = run_refused(capsys, "compose", "--operator", "union",
+                            files / "name.mcd", files / "age.mcd", "--output", target)
+    assert code == 2
+    assert err.startswith(f"cannot write {target}: ") and err.count("\n") == 1
+
+
+def test_jobs_option_removed(files, capsys):
+    code, err = run_refused(capsys, "compose", "--operator", "union",
+                            files / "name.mcd", files / "age.mcd", "--jobs", "2")
+    assert code == 2 and "unrecognized arguments: --jobs" in err
 
 
 def test_classify_corpus_dir_json(files, capsys):

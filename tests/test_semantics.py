@@ -208,6 +208,15 @@ def test_refines():
     assert not refines(name_only, name_int, u)
 
 
+def test_denotations_of_different_universes_do_not_mix():
+    other = Universe(("Person",), ("name",), ("String",))
+    mine, theirs = denotation(PERSON, WORKED), denotation(PERSON, other)
+    with pytest.raises(UniverseError):
+        mine.issubset(theirs)
+    with pytest.raises(UniverseError):
+        mine & theirs
+
+
 def test_semantically_eq_order_insensitive():
     u = TINY_UNIVERSE
     a = Model((ClassExists("Person"), ClassExists("Account")))

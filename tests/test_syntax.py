@@ -12,7 +12,6 @@ from modelalg import (
     parse_strict,
     render,
     syntactic_eq,
-    well_formed,
 )
 
 from .strategies import models
@@ -86,16 +85,6 @@ def test_attr_complete_duplicate_names_unconstructible():
 def test_invalid_identifier_unconstructible():
     with pytest.raises(ValueError):
         ClassExists("_C1")
-
-
-def test_contradiction_is_well_formed():
-    m = Model((AttrTyped("P", "n", "String"), AttrTyped("P", "n", "Int")))
-    ok, diags = well_formed(m)
-    assert ok and not diags
-
-
-def test_empty_model_well_formed():
-    assert well_formed(Model(()))[0]
 
 
 def test_syntactic_eq_order_sensitive():
