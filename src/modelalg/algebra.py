@@ -16,14 +16,13 @@ import random
 from dataclasses import dataclass
 
 from .operators import OPERATORS, Operator, get_operator
-from .semantics import Universe, build_universe, denotation
+from .semantics import Denotation, Universe, build_universe, denotation
 from .syntax import (
     AttrComplete,
     AttrTyped,
     ClassExists,
     Model,
     render,
-    syntactic_eq,
 )
 
 MAX_WITNESSES = 10
@@ -135,27 +134,61 @@ def _show(m: Model) -> str:
 
 
 class _Composer:
-    """Memoizing wrapper around one operator."""
+    """One operator over one universe, on interned models.  Each distinct
+    model is interned once, by its constraints, to an int id, so two ids are
+    equal exactly when their models are syntactically equal.  Compositions
+    are memoized by id pair, and each id's denotation is computed once."""
 
-    def __init__(self, op: Operator):
+    def __init__(self, op: Operator, u: Universe):
         self.op = op
-        self.cache: dict = {}
+        self.u = u
+        self.ids: dict = {}  # constraints -> id
+        self.models: list[Model] = []  # id -> model
+        self.dens: list = []  # id -> denotation, None until first needed
+        self.texts: dict = {}  # id -> one-line source, for the ids a witness shows
+        self.results: dict = {}  # (id, id) -> id of the composition
 
-    def __call__(self, a: Model, b: Model) -> Model:
-        key = (a.constraints, b.constraints)
-        r = self.cache.get(key)
+    def intern(self, m: Model) -> int:
+        i = self.ids.get(m.constraints)
+        if i is None:
+            i = self.ids[m.constraints] = len(self.models)
+            self.models.append(m)
+            self.dens.append(None)
+        return i
+
+    def __call__(self, a: int, b: int) -> int:
+        r = self.results.get((a, b))
         if r is None:
-            r = self.op(a, b)
-            self.cache[key] = r
+            r = self.results[a, b] = self.intern(self.op(self.models[a], self.models[b]))
         return r
+
+    def den(self, i: int) -> Denotation:
+        d = self.dens[i]
+        if d is None:
+            d = self.dens[i] = denotation(self.models[i], self.u)
+        return d
+
+    def show(self, i: int) -> str:
+        t = self.texts.get(i)
+        if t is None:
+            t = self.texts[i] = _show(self.models[i])
+        return t
 
 
 def _scope(corpus: Corpus, u: Universe) -> str:
     return f"corpus={corpus.origin}; universe={u.describe()}"
 
 
-def _verdict(prop, failures, checked, exhaustive, scope) -> Verdict:
-    return Verdict(prop, not failures, tuple(failures[:MAX_WITNESSES]), exhaustive, checked, scope)
+def _keep(witnesses: list, make) -> None:
+    """Record one failing tuple.  Its witness is built, by make(), only while
+    the verdict keeps fewer than MAX_WITNESSES, so the kept witnesses are the
+    first failures in iteration order and no other witness is built."""
+    if len(witnesses) < MAX_WITNESSES:
+        witnesses.append(make())
+
+
+def _verdict(prop, witnesses, checked, exhaustive, scope) -> Verdict:
+    return Verdict(prop, not witnesses, tuple(witnesses), exhaustive, checked, scope)
 
 
 def _sample_triples(n: int, seed: int, count: int = TRIPLE_SAMPLES):
@@ -166,22 +199,19 @@ def _sample_triples(n: int, seed: int, count: int = TRIPLE_SAMPLES):
 # --- table 1 ---------------------------------------------------------------
 
 
-def _check_pp(comp: _Composer, corpus: Corpus, u: Universe, scope: str) -> dict:
+def _check_pp(comp: _Composer, corpus: Corpus, scope: str) -> dict:
     wl, wr, wb = [], [], []
-    for m1 in corpus.models:
-        for m2 in corpus.models:
-            dc = denotation(comp(m1, m2), u)
-            d1 = denotation(m1, u)
-            d2 = denotation(m2, u)
-            obs = f"|sm(op(m1,m2))|={dc.size}, |sm(m1)|={d1.size}, |sm(m2)|={d2.size}"
-            pair = (_show(m1), _show(m2))
-            if not dc.issubset(d1):
-                wl.append(Witness(pair, "sm(op(m1,m2)) is a subset of sm(m1)", obs))
-            if not dc.issubset(d2):
-                wr.append(Witness(pair, "sm(op(m1,m2)) is a subset of sm(m2)", obs))
-            if not dc.issubset(d1 & d2):
-                wb.append(Witness(pair, "sm(op(m1,m2)) is a subset of sm(m1) & sm(m2)", obs))
-    n2 = len(corpus.models) ** 2
+    ids = [comp.intern(m) for m in corpus.models]
+    for a in ids:
+        for b in ids:
+            dc, d1, d2 = comp.den(comp(a, b)), comp.den(a), comp.den(b)
+            rows = (wl, d1, "sm(m1)"), (wr, d2, "sm(m2)"), (wb, d1 & d2, "sm(m1) & sm(m2)")
+            for kept, bound, name in rows:
+                if not dc.issubset(bound):
+                    _keep(kept, lambda: Witness(
+                        (comp.show(a), comp.show(b)), f"sm(op(m1,m2)) is a subset of {name}",
+                        f"|sm(op(m1,m2))|={dc.size}, |sm(m1)|={d1.size}, |sm(m2)|={d2.size}"))
+    n2 = len(ids) ** 2
     return {
         "PP_l": _verdict("PP_l", wl, n2, True, scope),
         "PP_r": _verdict("PP_r", wr, n2, True, scope),
@@ -189,62 +219,53 @@ def _check_pp(comp: _Composer, corpus: Corpus, u: Universe, scope: str) -> dict:
     }
 
 
-def _check_fpp(comp: _Composer, corpus: Corpus, u: Universe, scope: str) -> Verdict:
+def _check_fpp(comp: _Composer, corpus: Corpus, scope: str) -> Verdict:
     failures = []
-    for m1 in corpus.models:
-        for m2 in corpus.models:
-            dc = denotation(comp(m1, m2), u)
-            di = denotation(m1, u) & denotation(m2, u)
+    ids = [comp.intern(m) for m in corpus.models]
+    for a in ids:
+        for b in ids:
+            dc = comp.den(comp(a, b))
+            di = comp.den(a) & comp.den(b)
             if dc != di:
-                failures.append(
-                    Witness(
-                        (_show(m1), _show(m2)),
-                        "sm(op(m1,m2)) equals sm(m1) & sm(m2)",
-                        f"|sm(op(m1,m2))|={dc.size}, |sm(m1) & sm(m2)|={di.size}",
-                    )
-                )
-    return _verdict("FPP", failures, len(corpus.models) ** 2, True, scope)
+                _keep(failures, lambda: Witness(
+                    (comp.show(a), comp.show(b)), "sm(op(m1,m2)) equals sm(m1) & sm(m2)",
+                    f"|sm(op(m1,m2))|={dc.size}, |sm(m1) & sm(m2)|={di.size}"))
+    return _verdict("FPP", failures, len(ids) ** 2, True, scope)
 
 
-def _check_cp(comp: _Composer, corpus: Corpus, u: Universe, scope: str) -> Verdict:
+def _check_cp(comp: _Composer, corpus: Corpus, scope: str) -> Verdict:
     failures = []
-    for m1 in corpus.models:
-        for m2 in corpus.models:
-            di = denotation(m1, u) & denotation(m2, u)
+    ids = [comp.intern(m) for m in corpus.models]
+    for a in ids:
+        for b in ids:
+            di = comp.den(a) & comp.den(b)
             if di.is_empty:
                 continue
-            dc = denotation(comp(m1, m2), u)
-            if dc.is_empty:
-                failures.append(
-                    Witness(
-                        (_show(m1), _show(m2)),
-                        "sm(m1) & sm(m2) nonempty implies sm(op(m1,m2)) nonempty",
-                        f"|sm(m1) & sm(m2)|={di.size}, |sm(op(m1,m2))|=0",
-                    )
-                )
-    return _verdict("CP", failures, len(corpus.models) ** 2, True, scope)
+            if comp.den(comp(a, b)).is_empty:
+                _keep(failures, lambda: Witness(
+                    (comp.show(a), comp.show(b)),
+                    "sm(m1) & sm(m2) nonempty implies sm(op(m1,m2)) nonempty",
+                    f"|sm(m1) & sm(m2)|={di.size}, |sm(op(m1,m2))|=0"))
+    return _verdict("CP", failures, len(ids) ** 2, True, scope)
 
 
-def _check_commutativity(comp: _Composer, corpus: Corpus, u: Universe, scope: str) -> dict:
+def _check_commutativity(comp: _Composer, corpus: Corpus, scope: str) -> dict:
     syn, sem = [], []
-    n = len(corpus.models)
+    ids = [comp.intern(m) for m in corpus.models]
+    n = len(ids)
     for i in range(n):
         for j in range(i + 1, n):
-            m1, m2 = corpus.models[i], corpus.models[j]
-            a = comp(m1, m2)
-            b = comp(m2, m1)
-            pair = (_show(m1), _show(m2))
-            if not syntactic_eq(a, b):
-                syn.append(
-                    Witness(pair, "op(m1,m2) syntactically equals op(m2,m1)",
-                            f"op(m1,m2)={_show(a)}; op(m2,m1)={_show(b)}")
-                )
-            da, db = denotation(a, u), denotation(b, u)
+            a, b = ids[i], ids[j]
+            ab, ba = comp(a, b), comp(b, a)
+            if ab != ba:
+                _keep(syn, lambda: Witness(
+                    (comp.show(a), comp.show(b)), "op(m1,m2) syntactically equals op(m2,m1)",
+                    f"op(m1,m2)={comp.show(ab)}; op(m2,m1)={comp.show(ba)}"))
+            da, db = comp.den(ab), comp.den(ba)
             if da != db:
-                sem.append(
-                    Witness(pair, "sm(op(m1,m2)) equals sm(op(m2,m1))",
-                            f"|sm(op(m1,m2))|={da.size}, |sm(op(m2,m1))|={db.size}")
-                )
+                _keep(sem, lambda: Witness(
+                    (comp.show(a), comp.show(b)), "sm(op(m1,m2)) equals sm(op(m2,m1))",
+                    f"|sm(op(m1,m2))|={da.size}, |sm(op(m2,m1))|={db.size}"))
     checked = n * (n - 1) // 2
     return {
         "Com": _verdict("Com", syn, checked, True, scope),
@@ -252,8 +273,9 @@ def _check_commutativity(comp: _Composer, corpus: Corpus, u: Universe, scope: st
     }
 
 
-def _check_associativity(comp: _Composer, corpus: Corpus, u: Universe, scope: str, seed: int) -> dict:
-    n = len(corpus.models)
+def _check_associativity(comp: _Composer, corpus: Corpus, scope: str, seed: int) -> dict:
+    ids = [comp.intern(m) for m in corpus.models]
+    n = len(ids)
     if n <= EXHAUSTIVE_TRIPLE_LIMIT:
         triples = itertools.product(range(n), repeat=3)
         exhaustive, checked = True, n**3
@@ -262,21 +284,20 @@ def _check_associativity(comp: _Composer, corpus: Corpus, u: Universe, scope: st
         exhaustive, checked = False, TRIPLE_SAMPLES
     syn, sem = [], []
     for i, j, k in triples:
-        m1, m2, m3 = corpus.models[i], corpus.models[j], corpus.models[k]
-        left = comp(comp(m1, m2), m3)
-        right = comp(m1, comp(m2, m3))
-        triple = (_show(m1), _show(m2), _show(m3))
-        if not syntactic_eq(left, right):
-            syn.append(
-                Witness(triple, "op(op(m1,m2),m3) syntactically equals op(m1,op(m2,m3))",
-                        f"left={_show(left)}; right={_show(right)}")
-            )
-        dl, dr = denotation(left, u), denotation(right, u)
+        a, b, c = ids[i], ids[j], ids[k]
+        left = comp(comp(a, b), c)
+        right = comp(a, comp(b, c))
+        if left != right:
+            _keep(syn, lambda: Witness(
+                (comp.show(a), comp.show(b), comp.show(c)),
+                "op(op(m1,m2),m3) syntactically equals op(m1,op(m2,m3))",
+                f"left={comp.show(left)}; right={comp.show(right)}"))
+        dl, dr = comp.den(left), comp.den(right)
         if dl != dr:
-            sem.append(
-                Witness(triple, "sm(op(op(m1,m2),m3)) equals sm(op(m1,op(m2,m3)))",
-                        f"|left|={dl.size}, |right|={dr.size}")
-            )
+            _keep(sem, lambda: Witness(
+                (comp.show(a), comp.show(b), comp.show(c)),
+                "sm(op(op(m1,m2),m3)) equals sm(op(m1,op(m2,m3)))",
+                f"|left|={dl.size}, |right|={dr.size}"))
     return {
         "Ass": _verdict("Ass", syn, checked, exhaustive, scope),
         "Ass_sm": _verdict("Ass_sm", sem, checked, exhaustive, scope),
@@ -303,56 +324,58 @@ def _element_row(prop: str, terms: tuple[str, ...]) -> tuple:
 _ELEMENT_ROWS = [_element_row(prop, terms) for prop, terms in TABLE2]
 
 
-def _check_element(comp: _Composer, m: Model, corpus: Corpus, u: Universe, scope: str) -> dict:
+def _check_element(comp: _Composer, m: Model, corpus: Corpus, scope: str) -> dict:
     fails: dict[str, list[Witness]] = {p: [] for p in TABLE2_PROPS}
-    dm = denotation(m, u)
+    e = comp.intern(m)
     for m1 in corpus.models:
-        rm, lm = comp(m1, m), comp(m, m1)
-        terms = {"m1": m1, "m": m, "op(m1,m)": rm, "op(m,m1)": lm,
-                 "op(op(m1,m),m)": comp(rm, m), "op(m,op(m,m1))": comp(m, lm)}
-        dens = {t: dm if t == "m" else denotation(x, u) for t, x in terms.items()}
-        pair = (_show(m1), _show(m))
+        i = comp.intern(m1)
+        rm, lm = comp(i, e), comp(e, i)
+        terms = {"m1": i, "m": e, "op(m1,m)": rm, "op(m,m1)": lm,
+                 "op(op(m1,m),m)": comp(rm, e), "op(m,op(m,m1))": comp(e, lm)}
+        dens = {t: comp.den(x) for t, x in terms.items()}
         for prop, names, (a, b, c), shown, syn_relation, sem_relation in _ELEMENT_ROWS:
-            if not (syntactic_eq(terms[a], terms[b]) and syntactic_eq(terms[b], terms[c])):
-                observed = "; ".join([f"{t}={_show(terms[t])}" for t in shown])
-                fails[prop].append(Witness(pair, syn_relation, observed))
+            if not terms[a] == terms[b] == terms[c]:
+                _keep(fails[prop], lambda: Witness(
+                    (comp.show(i), comp.show(e)), syn_relation,
+                    "; ".join([f"{t}={comp.show(terms[t])}" for t in shown])))
             if not dens[a] == dens[b] == dens[c]:
-                observed = ", ".join([f"|sm({t})|={dens[t].size}" for t in names])
-                fails[prop + "_comp"].append(Witness(pair, sem_relation, observed))
+                _keep(fails[prop + "_comp"], lambda: Witness(
+                    (comp.show(i), comp.show(e)), sem_relation,
+                    ", ".join([f"|sm({t})|={dens[t].size}" for t in names])))
     return {p: _verdict(p, fails[p], len(corpus.models), True, scope) for p in TABLE2_PROPS}
 
 
 # --- public single checks --------------------------------------------------
 
 
-def _as_composer(op) -> _Composer:
+def _as_composer(op, u: Universe) -> _Composer:
     if isinstance(op, str):
         op = get_operator(op)
-    return _Composer(op)
+    return _Composer(op, u)
 
 
 def check_pp(op, corpus: Corpus, u: Universe) -> dict:
-    return _check_pp(_as_composer(op), corpus, u, _scope(corpus, u))
+    return _check_pp(_as_composer(op, u), corpus, _scope(corpus, u))
 
 
 def check_fpp(op, corpus: Corpus, u: Universe) -> Verdict:
-    return _check_fpp(_as_composer(op), corpus, u, _scope(corpus, u))
+    return _check_fpp(_as_composer(op, u), corpus, _scope(corpus, u))
 
 
 def check_cp(op, corpus: Corpus, u: Universe) -> Verdict:
-    return _check_cp(_as_composer(op), corpus, u, _scope(corpus, u))
+    return _check_cp(_as_composer(op, u), corpus, _scope(corpus, u))
 
 
 def check_commutativity(op, corpus: Corpus, u: Universe) -> dict:
-    return _check_commutativity(_as_composer(op), corpus, u, _scope(corpus, u))
+    return _check_commutativity(_as_composer(op, u), corpus, _scope(corpus, u))
 
 
 def check_associativity(op, corpus: Corpus, u: Universe, seed: int = 42) -> dict:
-    return _check_associativity(_as_composer(op), corpus, u, _scope(corpus, u), seed)
+    return _check_associativity(_as_composer(op, u), corpus, _scope(corpus, u), seed)
 
 
 def check_element(op, m: Model, corpus: Corpus, u: Universe) -> dict:
-    return _check_element(_as_composer(op), m, corpus, u, _scope(corpus, u))
+    return _check_element(_as_composer(op, u), m, corpus, _scope(corpus, u))
 
 
 # --- quotient and congruence ----------------------------------------------
@@ -367,33 +390,29 @@ def quotient(corpus: Corpus, u: Universe) -> Partition:
     return Partition(corpus, tuple(tuple(v) for v in groups.values()))
 
 
-def _congruence(comp: _Composer, partition: Partition, u: Universe, scope: str) -> Verdict:
-    models = partition.corpus.models
+def _congruence(comp: _Composer, partition: Partition, scope: str) -> Verdict:
+    ids = [comp.intern(m) for m in partition.corpus.models]
     failures = []
     checked = 0
     for ci in partition.classes:
         for cj in partition.classes:
-            rep = comp(models[ci[0]], models[cj[0]])
-            dr = denotation(rep, u)
+            ri, rj = ids[ci[0]], ids[cj[0]]
+            dr = comp.den(comp(ri, rj))
             for a in ci:
                 for b in cj:
                     checked += 1
-                    d = denotation(comp(models[a], models[b]), u)
+                    d = comp.den(comp(ids[a], ids[b]))
                     if d != dr:
-                        failures.append(
-                            Witness(
-                                (_show(models[a]), _show(models[b]),
-                                 _show(models[ci[0]]), _show(models[cj[0]])),
-                                "sm(op(ma,mb)) equals sm(op(rep_i,rep_j)) for all"
-                                " representatives ma, mb of the two classes",
-                                f"|sm(op(ma,mb))|={d.size}, |sm(op(rep_i,rep_j))|={dr.size}",
-                            )
-                        )
+                        _keep(failures, lambda: Witness(
+                            (comp.show(ids[a]), comp.show(ids[b]), comp.show(ri), comp.show(rj)),
+                            "sm(op(ma,mb)) equals sm(op(rep_i,rep_j)) for all"
+                            " representatives ma, mb of the two classes",
+                            f"|sm(op(ma,mb))|={d.size}, |sm(op(rep_i,rep_j))|={dr.size}"))
     return _verdict("congruence", failures, checked, True, scope)
 
 
 def congruence_check(op, partition: Partition, u: Universe) -> Verdict:
-    return _congruence(_as_composer(op), partition, u, _scope(partition.corpus, u))
+    return _congruence(_as_composer(op, u), partition, _scope(partition.corpus, u))
 
 
 # --- implication audit -----------------------------------------------------
@@ -416,24 +435,24 @@ def _implication_audit(table1: dict, table2) -> tuple[str, ...]:
 
 
 def classify(op_id: str, corpus: Corpus, u: Universe, seed: int = 42) -> OperatorReport:
-    comp = _Composer(get_operator(op_id))
+    comp = _Composer(get_operator(op_id), u)
     scope = _scope(corpus, u)
     table1: dict = {}
-    table1.update(_check_pp(comp, corpus, u, scope))
-    table1["FPP"] = _check_fpp(comp, corpus, u, scope)
-    table1["CP"] = _check_cp(comp, corpus, u, scope)
-    table1.update(_check_commutativity(comp, corpus, u, scope))
-    table1.update(_check_associativity(comp, corpus, u, scope, seed))
+    table1.update(_check_pp(comp, corpus, scope))
+    table1["FPP"] = _check_fpp(comp, corpus, scope)
+    table1["CP"] = _check_cp(comp, corpus, scope)
+    table1.update(_check_commutativity(comp, corpus, scope))
+    table1.update(_check_associativity(comp, corpus, scope, seed))
     table1 = {p: table1[p] for p in TABLE1_PROPS}
 
     table2 = tuple(
-        (i, _check_element(comp, m, corpus, u, scope)) for i, m in enumerate(corpus.models)
+        (i, _check_element(comp, m, corpus, scope)) for i, m in enumerate(corpus.models)
     )
 
     audit = _implication_audit(table1, table2)
 
     part = quotient(corpus, u)
-    cong = _congruence(comp, part, u, scope)
+    cong = _congruence(comp, part, scope)
     fpp = table1["FPP"].holds
     i_comp_all = all(props["I_comp"].holds for _, props in table2)
     theorems = {

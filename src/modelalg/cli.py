@@ -158,9 +158,12 @@ def cmd_corpus(args) -> int:
     corpus = algebra.default_corpus(seed=args.seed)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for i, m in enumerate(corpus.models):
-            (out / f"model_{i:03d}.mcd").write_text(render(m), encoding="utf-8")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for i, m in enumerate(corpus.models):
+                (out / f"model_{i:03d}.mcd").write_text(render(m), encoding="utf-8")
+        except OSError as exc:
+            raise CliError(f"cannot write corpus to {out}: {exc}", 2) from exc
         print(f"wrote {len(corpus.models)} models to {out}")
     else:
         chunks = [f"// model {i}\n{render(m)}" for i, m in enumerate(corpus.models)]

@@ -271,10 +271,11 @@ def _constraint_mask(u: Universe, c: Constraint) -> tuple[int, int]:
 
 def denotation(m: Model, u: Universe) -> Denotation:
     """The exact set of universe systems satisfying every constraint of m."""
-    _check_names(u, m.constraints)
     key = frozenset(m.constraints)
     d = u._den_cache.get(key)
     if d is None:
+        # A cached key was validated against this universe when it was added.
+        _check_names(u, m.constraints)
         masks = [u.full_class_mask] * len(u.class_pool)
         for c in m.constraints:
             ci, cm = _constraint_mask(u, c)

@@ -9,9 +9,11 @@ import hashlib
 import random
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import modelalg
 from modelalg import (
     AttrComplete,
     AttrTyped,
@@ -310,3 +312,44 @@ def test_golden_report_bytes(reports, op):
         for text in (report_to_json(rep), report_to_text(rep))
     )
     assert got == GOLDEN_REPORTS[op]
+
+
+# The benchmark's frozen copy of the program (perfbench/reference/), imported
+# read-only.  The default corpus samples associativity; these small corpora
+# take the exhaustive path, so every triple's verdict reaches the report.
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+SMALL_BOUNDS = (
+    (("P",), ("n", "m"), ("S", "T"), True),
+    (("P", "Q"), ("n",), ("S", "T"), True),
+)
+
+
+@pytest.fixture(scope="module")
+def reference():
+    sys.path.insert(0, str(REFERENCE_DIR))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import modelalg_ref
+        import modelalg_ref.report
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(REFERENCE_DIR))
+    return modelalg_ref
+
+
+def _small_reports(pkg, bounds) -> list[str]:
+    corpus = pkg.generate_corpus(pkg.CorpusBounds(*bounds), seed=7, max_models=12)
+    assert len(corpus.models) <= 12
+    docs = []
+    for padding, cap in (((1, 1, 1), pkg.DEFAULT_CAP), ((2, 2, 2), None)):
+        for op in ALL_OPS:
+            u = pkg.build_universe(corpus.models, *padding, cap=cap)
+            docs.append(pkg.report.report_to_json(pkg.classify(op, corpus, u)))
+    return docs
+
+
+@pytest.mark.parametrize("bounds", SMALL_BOUNDS, ids=("one-class", "two-class"))
+def test_exhaustive_reports_match_frozen_reference(reference, bounds):
+    got = _small_reports(modelalg, bounds)
+    assert '"exhaustive": false' not in "".join(got)
+    assert got == _small_reports(reference, bounds)

@@ -1,6 +1,7 @@
 import pytest
 
 from modelalg import (
+    AttrComplete,
     AttrTyped,
     ClassExists,
     Corpus,
@@ -18,12 +19,21 @@ from modelalg import (
     default_corpus,
     denotation,
     generate_corpus,
+    intersect_merge,
     parse_strict,
     quotient,
     stability_check,
     union_merge,
 )
-from modelalg.algebra import TABLE1_PROPS, TABLE2_PROPS, Verdict, _implication_audit
+from modelalg import algebra
+from modelalg.algebra import (
+    MAX_WITNESSES,
+    TABLE1_PROPS,
+    TABLE2_PROPS,
+    Verdict,
+    _implication_audit,
+    _show,
+)
 
 from .oracle import EnumOracle, parse_witness
 
@@ -225,6 +235,51 @@ def test_false_verdicts_carry_witnesses(small_corpus, small_universe):
     for v in report.table1.values():
         if not v.holds:
             assert v.witnesses
+
+
+# --- witnesses --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("op", ("union", "strict", "override", "intersect", "paranoid"))
+def test_witnesses_built_only_when_kept(monkeypatch, op):
+    built = []
+    witness = algebra.Witness
+
+    def counted(*args):
+        built.append(args)
+        return witness(*args)
+
+    monkeypatch.setattr(algebra, "Witness", counted)
+    corpus = default_corpus()
+    report = classify(op, corpus, build_universe(corpus.models))
+    verdicts = [*report.table1.values(), *(v for _, props in report.table2 for v in props.values())]
+    assert len(built) == sum(len(v.witnesses) for v in verdicts)
+
+
+def test_first_failures_kept_in_order():
+    def contradiction(*extra):
+        return Model((ClassExists("P"), *extra))
+
+    corpus = Corpus((
+        contradiction(AttrTyped("P", "n", "S"), AttrTyped("P", "n", "T")),
+        contradiction(AttrTyped("P", "m", "S"), AttrTyped("P", "m", "T")),
+        contradiction(AttrTyped("P", "n", "S"), AttrComplete("P", ())),
+        contradiction(AttrTyped("P", "m", "T"), AttrComplete("P", (("n", "S"),))),
+        Model(()),
+        parse_strict("class P { n: S }"),
+    ), "contradictions")
+    u = build_universe(corpus.models)
+    failures = [
+        (m1, m2)
+        for m1 in corpus.models
+        for m2 in corpus.models
+        if not denotation(intersect_merge(m1, m2), u).issubset(denotation(m1, u) & denotation(m2, u))
+    ]
+    assert len(failures) > MAX_WITNESSES == 10
+    verdict = check_pp("intersect", corpus, u)["PP"]
+    assert verdict.holds is False and verdict.checked == len(corpus.models) ** 2
+    assert len(verdict.witnesses) == MAX_WITNESSES
+    assert [w.models for w in verdict.witnesses] == [(_show(a), _show(b)) for a, b in failures[:10]]
 
 
 # --- implication audit ------------------------------------------------------

@@ -224,6 +224,25 @@ def test_corpus_write(files, capsys, tmp_path):
     assert written[0].read_text() == ""  # the empty model comes first
 
 
+def test_corpus_out_uncreatable_exits_2(files, capsys):
+    target = files / "name.mcd" / "sub"  # below a regular file
+    code, err = run_refused(capsys, "corpus", "--out", target)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith(f"cannot write corpus to {target}: ") and err.count("\n") == 1
+
+
+def test_classify_universe_missing_a_corpus_name_exits_2(files, capsys):
+    corpus_dir = files / "corpus"
+    corpus_dir.mkdir()
+    (corpus_dir / "a.mcd").write_text(PERSON_NAME)
+    (corpus_dir / "b.mcd").write_text(PERSON_AGE)  # 'age' is not in the universe
+    code, err = run_refused(capsys, "classify", "--operator", "union", "--corpus", corpus_dir,
+                            "--universe", files / "universe.json")
+    assert code == 2
+    assert err == "error: attribute 'age' not in universe\n"
+
+
 def test_stability_small(files, capsys):
     corpus_dir = files / "corpus"
     corpus_dir.mkdir()

@@ -5,11 +5,13 @@ from modelalg import (
     AttrComplete,
     AttrTyped,
     ClassExists,
+    Corpus,
     Model,
     Universe,
     UniverseCapError,
     UniverseError,
     build_universe,
+    classify,
     denotation,
     enumerate_systems,
     is_consistent,
@@ -164,6 +166,27 @@ def test_contradiction_denotes_nothing():
 def test_denotation_out_of_universe():
     with pytest.raises(UniverseError):
         denotation(Model((ClassExists("Ghost"),)), WORKED)
+
+
+@pytest.mark.parametrize("constraint, message", [
+    (ClassExists("Ghost"), "class 'Ghost' not in universe"),
+    (AttrTyped("Person", "age", "String"), "attribute 'age' not in universe"),
+    (AttrTyped("Person", "name", "Int"), "type 'Int' not in universe"),
+    (AttrComplete("Person", (("name", "Int"),)), "type 'Int' not in universe"),
+], ids=("class", "attribute", "type", "complete"))
+def test_denotation_names_checked_on_every_call(constraint, message):
+    u = Universe(("Person", "X"), ("name",), ("String",))  # fresh, so nothing is cached
+    m = Model((ClassExists("Person"), constraint))
+    for _ in range(2):
+        with pytest.raises(UniverseError, match=message):
+            denotation(m, u)
+    assert denotation(PERSON, u).size == 3  # a valid model is still denoted
+
+
+def test_classify_over_universe_missing_a_corpus_name():
+    corpus = Corpus((PERSON, parse_strict("class Person { age: Int }")), "test")
+    with pytest.raises(UniverseError, match="attribute 'age' not in universe"):
+        classify("union", corpus, WORKED)
 
 
 def test_denotation_matches_naive_oracle_worked():
