@@ -15,7 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .operators import OPERATORS, Operator, get_operator
+from .operators import Operator, get_operator
 from .semantics import Denotation, Universe, build_universe, denotation
 from .syntax import (
     AttrComplete,
@@ -86,7 +86,6 @@ class Verdict:
     witnesses: tuple[Witness, ...]
     exhaustive: bool
     checked: int  # tuples examined
-    scope: str
 
 
 @dataclass(frozen=True)
@@ -134,24 +133,27 @@ def _show(m: Model) -> str:
 
 
 class _Composer:
-    """One operator over one universe, on interned models.  Each distinct
-    model is interned once, by its constraints, to an int id, so two ids are
-    equal exactly when their models are syntactically equal.  Compositions
-    are memoized by id pair, and each id's denotation is computed once."""
+    """The context of one check: an operator (given by name or as a callable)
+    over a corpus and a universe, on interned models.  Each distinct model is
+    interned once, by its constraints, to an int id, so two ids are equal
+    exactly when their models are syntactically equal.  The corpus is interned
+    on construction; `ids` holds its ids in corpus order.  Compositions are
+    memoized by id pair, and each id's denotation is computed once."""
 
-    def __init__(self, op: Operator, u: Universe):
-        self.op = op
+    def __init__(self, op: str | Operator, corpus: Corpus, u: Universe):
+        self.op = get_operator(op) if isinstance(op, str) else op
         self.u = u
-        self.ids: dict = {}  # constraints -> id
+        self.by_constraints: dict = {}  # constraints -> id
         self.models: list[Model] = []  # id -> model
         self.dens: list = []  # id -> denotation, None until first needed
         self.texts: dict = {}  # id -> one-line source, for the ids a witness shows
         self.results: dict = {}  # (id, id) -> id of the composition
+        self.ids = [self.intern(m) for m in corpus.models]
 
     def intern(self, m: Model) -> int:
-        i = self.ids.get(m.constraints)
+        i = self.by_constraints.get(m.constraints)
         if i is None:
-            i = self.ids[m.constraints] = len(self.models)
+            i = self.by_constraints[m.constraints] = len(self.models)
             self.models.append(m)
             self.dens.append(None)
         return i
@@ -175,10 +177,6 @@ class _Composer:
         return t
 
 
-def _scope(corpus: Corpus, u: Universe) -> str:
-    return f"corpus={corpus.origin}; universe={u.describe()}"
-
-
 def _keep(witnesses: list, make) -> None:
     """Record one failing tuple.  Its witness is built, by make(), only while
     the verdict keeps fewer than MAX_WITNESSES, so the kept witnesses are the
@@ -187,8 +185,8 @@ def _keep(witnesses: list, make) -> None:
         witnesses.append(make())
 
 
-def _verdict(prop, witnesses, checked, exhaustive, scope) -> Verdict:
-    return Verdict(prop, not witnesses, tuple(witnesses), exhaustive, checked, scope)
+def _verdict(prop, witnesses, checked, exhaustive) -> Verdict:
+    return Verdict(prop, not witnesses, tuple(witnesses), exhaustive, checked)
 
 
 def _sample_triples(n: int, seed: int, count: int = TRIPLE_SAMPLES):
@@ -199,11 +197,10 @@ def _sample_triples(n: int, seed: int, count: int = TRIPLE_SAMPLES):
 # --- table 1 ---------------------------------------------------------------
 
 
-def _check_pp(comp: _Composer, corpus: Corpus, scope: str) -> dict:
+def _check_pp(comp: _Composer) -> dict:
     wl, wr, wb = [], [], []
-    ids = [comp.intern(m) for m in corpus.models]
-    for a in ids:
-        for b in ids:
+    for a in comp.ids:
+        for b in comp.ids:
             dc, d1, d2 = comp.den(comp(a, b)), comp.den(a), comp.den(b)
             rows = (wl, d1, "sm(m1)"), (wr, d2, "sm(m2)"), (wb, d1 & d2, "sm(m1) & sm(m2)")
             for kept, bound, name in rows:
@@ -211,33 +208,31 @@ def _check_pp(comp: _Composer, corpus: Corpus, scope: str) -> dict:
                     _keep(kept, lambda: Witness(
                         (comp.show(a), comp.show(b)), f"sm(op(m1,m2)) is a subset of {name}",
                         f"|sm(op(m1,m2))|={dc.size}, |sm(m1)|={d1.size}, |sm(m2)|={d2.size}"))
-    n2 = len(ids) ** 2
+    n2 = len(comp.ids) ** 2
     return {
-        "PP_l": _verdict("PP_l", wl, n2, True, scope),
-        "PP_r": _verdict("PP_r", wr, n2, True, scope),
-        "PP": _verdict("PP", wb, n2, True, scope),
+        "PP_l": _verdict("PP_l", wl, n2, True),
+        "PP_r": _verdict("PP_r", wr, n2, True),
+        "PP": _verdict("PP", wb, n2, True),
     }
 
 
-def _check_fpp(comp: _Composer, corpus: Corpus, scope: str) -> Verdict:
+def _check_fpp(comp: _Composer) -> Verdict:
     failures = []
-    ids = [comp.intern(m) for m in corpus.models]
-    for a in ids:
-        for b in ids:
+    for a in comp.ids:
+        for b in comp.ids:
             dc = comp.den(comp(a, b))
             di = comp.den(a) & comp.den(b)
             if dc != di:
                 _keep(failures, lambda: Witness(
                     (comp.show(a), comp.show(b)), "sm(op(m1,m2)) equals sm(m1) & sm(m2)",
                     f"|sm(op(m1,m2))|={dc.size}, |sm(m1) & sm(m2)|={di.size}"))
-    return _verdict("FPP", failures, len(ids) ** 2, True, scope)
+    return _verdict("FPP", failures, len(comp.ids) ** 2, True)
 
 
-def _check_cp(comp: _Composer, corpus: Corpus, scope: str) -> Verdict:
+def _check_cp(comp: _Composer) -> Verdict:
     failures = []
-    ids = [comp.intern(m) for m in corpus.models]
-    for a in ids:
-        for b in ids:
+    for a in comp.ids:
+        for b in comp.ids:
             di = comp.den(a) & comp.den(b)
             if di.is_empty:
                 continue
@@ -246,12 +241,12 @@ def _check_cp(comp: _Composer, corpus: Corpus, scope: str) -> Verdict:
                     (comp.show(a), comp.show(b)),
                     "sm(m1) & sm(m2) nonempty implies sm(op(m1,m2)) nonempty",
                     f"|sm(m1) & sm(m2)|={di.size}, |sm(op(m1,m2))|=0"))
-    return _verdict("CP", failures, len(ids) ** 2, True, scope)
+    return _verdict("CP", failures, len(comp.ids) ** 2, True)
 
 
-def _check_commutativity(comp: _Composer, corpus: Corpus, scope: str) -> dict:
+def _check_commutativity(comp: _Composer) -> dict:
     syn, sem = [], []
-    ids = [comp.intern(m) for m in corpus.models]
+    ids = comp.ids
     n = len(ids)
     for i in range(n):
         for j in range(i + 1, n):
@@ -268,13 +263,13 @@ def _check_commutativity(comp: _Composer, corpus: Corpus, scope: str) -> dict:
                     f"|sm(op(m1,m2))|={da.size}, |sm(op(m2,m1))|={db.size}"))
     checked = n * (n - 1) // 2
     return {
-        "Com": _verdict("Com", syn, checked, True, scope),
-        "Com_sm": _verdict("Com_sm", sem, checked, True, scope),
+        "Com": _verdict("Com", syn, checked, True),
+        "Com_sm": _verdict("Com_sm", sem, checked, True),
     }
 
 
-def _check_associativity(comp: _Composer, corpus: Corpus, scope: str, seed: int) -> dict:
-    ids = [comp.intern(m) for m in corpus.models]
+def _check_associativity(comp: _Composer, seed: int) -> dict:
+    ids = comp.ids
     n = len(ids)
     if n <= EXHAUSTIVE_TRIPLE_LIMIT:
         triples = itertools.product(range(n), repeat=3)
@@ -299,8 +294,8 @@ def _check_associativity(comp: _Composer, corpus: Corpus, scope: str, seed: int)
                 "sm(op(op(m1,m2),m3)) equals sm(op(m1,op(m2,m3)))",
                 f"|left|={dl.size}, |right|={dr.size}"))
     return {
-        "Ass": _verdict("Ass", syn, checked, exhaustive, scope),
-        "Ass_sm": _verdict("Ass_sm", sem, checked, exhaustive, scope),
+        "Ass": _verdict("Ass", syn, checked, exhaustive),
+        "Ass_sm": _verdict("Ass_sm", sem, checked, exhaustive),
     }
 
 
@@ -324,11 +319,10 @@ def _element_row(prop: str, terms: tuple[str, ...]) -> tuple:
 _ELEMENT_ROWS = [_element_row(prop, terms) for prop, terms in TABLE2]
 
 
-def _check_element(comp: _Composer, m: Model, corpus: Corpus, scope: str) -> dict:
+def _check_element(comp: _Composer, e: int) -> dict:
+    """Table 2 for the candidate element with id e, against every corpus model."""
     fails: dict[str, list[Witness]] = {p: [] for p in TABLE2_PROPS}
-    e = comp.intern(m)
-    for m1 in corpus.models:
-        i = comp.intern(m1)
+    for i in comp.ids:
         rm, lm = comp(i, e), comp(e, i)
         terms = {"m1": i, "m": e, "op(m1,m)": rm, "op(m,m1)": lm,
                  "op(op(m1,m),m)": comp(rm, e), "op(m,op(m,m1))": comp(e, lm)}
@@ -342,40 +336,35 @@ def _check_element(comp: _Composer, m: Model, corpus: Corpus, scope: str) -> dic
                 _keep(fails[prop + "_comp"], lambda: Witness(
                     (comp.show(i), comp.show(e)), sem_relation,
                     ", ".join([f"|sm({t})|={dens[t].size}" for t in names])))
-    return {p: _verdict(p, fails[p], len(corpus.models), True, scope) for p in TABLE2_PROPS}
+    return {p: _verdict(p, fails[p], len(comp.ids), True) for p in TABLE2_PROPS}
 
 
 # --- public single checks --------------------------------------------------
 
 
-def _as_composer(op, u: Universe) -> _Composer:
-    if isinstance(op, str):
-        op = get_operator(op)
-    return _Composer(op, u)
-
-
 def check_pp(op, corpus: Corpus, u: Universe) -> dict:
-    return _check_pp(_as_composer(op, u), corpus, _scope(corpus, u))
+    return _check_pp(_Composer(op, corpus, u))
 
 
 def check_fpp(op, corpus: Corpus, u: Universe) -> Verdict:
-    return _check_fpp(_as_composer(op, u), corpus, _scope(corpus, u))
+    return _check_fpp(_Composer(op, corpus, u))
 
 
 def check_cp(op, corpus: Corpus, u: Universe) -> Verdict:
-    return _check_cp(_as_composer(op, u), corpus, _scope(corpus, u))
+    return _check_cp(_Composer(op, corpus, u))
 
 
 def check_commutativity(op, corpus: Corpus, u: Universe) -> dict:
-    return _check_commutativity(_as_composer(op, u), corpus, _scope(corpus, u))
+    return _check_commutativity(_Composer(op, corpus, u))
 
 
 def check_associativity(op, corpus: Corpus, u: Universe, seed: int = 42) -> dict:
-    return _check_associativity(_as_composer(op, u), corpus, _scope(corpus, u), seed)
+    return _check_associativity(_Composer(op, corpus, u), seed)
 
 
 def check_element(op, m: Model, corpus: Corpus, u: Universe) -> dict:
-    return _check_element(_as_composer(op, u), m, corpus, _scope(corpus, u))
+    comp = _Composer(op, corpus, u)
+    return _check_element(comp, comp.intern(m))
 
 
 # --- quotient and congruence ----------------------------------------------
@@ -390,8 +379,9 @@ def quotient(corpus: Corpus, u: Universe) -> Partition:
     return Partition(corpus, tuple(tuple(v) for v in groups.values()))
 
 
-def _congruence(comp: _Composer, partition: Partition, scope: str) -> Verdict:
-    ids = [comp.intern(m) for m in partition.corpus.models]
+def _congruence(comp: _Composer, partition: Partition) -> Verdict:
+    """Congruence over a partition of the composer's corpus."""
+    ids = comp.ids
     failures = []
     checked = 0
     for ci in partition.classes:
@@ -408,11 +398,11 @@ def _congruence(comp: _Composer, partition: Partition, scope: str) -> Verdict:
                             "sm(op(ma,mb)) equals sm(op(rep_i,rep_j)) for all"
                             " representatives ma, mb of the two classes",
                             f"|sm(op(ma,mb))|={d.size}, |sm(op(rep_i,rep_j))|={dr.size}"))
-    return _verdict("congruence", failures, checked, True, scope)
+    return _verdict("congruence", failures, checked, True)
 
 
 def congruence_check(op, partition: Partition, u: Universe) -> Verdict:
-    return _congruence(_as_composer(op, u), partition, _scope(partition.corpus, u))
+    return _congruence(_Composer(op, partition.corpus, u), partition)
 
 
 # --- implication audit -----------------------------------------------------
@@ -435,24 +425,21 @@ def _implication_audit(table1: dict, table2) -> tuple[str, ...]:
 
 
 def classify(op_id: str, corpus: Corpus, u: Universe, seed: int = 42) -> OperatorReport:
-    comp = _Composer(get_operator(op_id), u)
-    scope = _scope(corpus, u)
+    comp = _Composer(op_id, corpus, u)
     table1: dict = {}
-    table1.update(_check_pp(comp, corpus, scope))
-    table1["FPP"] = _check_fpp(comp, corpus, scope)
-    table1["CP"] = _check_cp(comp, corpus, scope)
-    table1.update(_check_commutativity(comp, corpus, scope))
-    table1.update(_check_associativity(comp, corpus, scope, seed))
+    table1.update(_check_pp(comp))
+    table1["FPP"] = _check_fpp(comp)
+    table1["CP"] = _check_cp(comp)
+    table1.update(_check_commutativity(comp))
+    table1.update(_check_associativity(comp, seed))
     table1 = {p: table1[p] for p in TABLE1_PROPS}
 
-    table2 = tuple(
-        (i, _check_element(comp, m, corpus, scope)) for i, m in enumerate(corpus.models)
-    )
+    table2 = tuple((i, _check_element(comp, e)) for i, e in enumerate(comp.ids))
 
     audit = _implication_audit(table1, table2)
 
     part = quotient(corpus, u)
-    cong = _congruence(comp, part, scope)
+    cong = _congruence(comp, part)
     fpp = table1["FPP"].holds
     i_comp_all = all(props["I_comp"].holds for _, props in table2)
     theorems = {

@@ -17,7 +17,11 @@ from .semantics import (
     UniverseError,
     build_universe,
     denotation,
+    is_consistent,
+    is_uninformative,
     load_universe,
+    refines,
+    semantically_eq,
 )
 from .syntax import ParseError, parse_strict, render
 
@@ -46,6 +50,8 @@ def _load_model(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", 2) from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}", 2) from exc
     try:
         return parse_strict(text)
     except ParseError as exc:
@@ -111,12 +117,12 @@ def cmd_sm(args) -> int:
     return 0
 
 
-# predicate -> (number of models, test over their denotations)
+# predicate -> (number of models, test over the models and the universe)
 _CHECKS = {
-    "refines": (2, lambda d: d[0].issubset(d[1])),
-    "eq": (2, lambda d: d[0] == d[1]),
-    "consistent": (1, lambda d: not d[0].is_empty),
-    "uninformative": (1, lambda d: d[0].is_full),
+    "refines": (2, refines),
+    "eq": (2, semantically_eq),
+    "consistent": (1, is_consistent),
+    "uninformative": (1, is_uninformative),
 }
 
 
@@ -127,7 +133,7 @@ def cmd_check(args) -> int:
         raise CliError(f"check {args.predicate} needs exactly {count}", 2)
     models = [_load_model(p) for p in args.inputs]
     u = _resolve_universe(models, args)
-    result = test([denotation(m, u) for m in models])
+    result = test(*models, u)
     _emit(("true" if result else "false") + "\n", args)
     return 0
 
@@ -178,8 +184,9 @@ def cmd_stability(args) -> int:
     return 0
 
 
-def _add_common(sub, universe=True, corpus=False) -> None:
-    sub.add_argument("--seed", type=int, default=42)
+def _add_common(sub, universe=True, corpus=False, seed=False) -> None:
+    if seed or corpus:  # seeds the default corpus, and classify's sampled checks
+        sub.add_argument("--seed", type=int, default=42)
     sub.add_argument("--output", default=None, help="write output to a file instead of stdout")
     if universe:
         sub.add_argument("--universe", default="auto", help="'auto' or a JSON universe spec path")
@@ -223,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("corpus", help="emit the default generated corpus")
     p.add_argument("--out", default=None, help="directory to write .mcd files into")
-    _add_common(p, universe=False)
+    _add_common(p, universe=False, seed=True)
     p.set_defaults(func=cmd_corpus)
 
     p = subs.add_parser("stability", help="compare verdicts under 1/1/1 and 2/2/2 padding")

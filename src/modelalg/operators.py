@@ -17,9 +17,7 @@ from .syntax import AttrComplete, AttrTyped, Model, mentioned_classes
 
 def union_merge(m1: Model, m2: Model) -> Model:
     present = set(m1.constraints)
-    out = list(m1.constraints)
-    out.extend(c for c in m2.constraints if c not in present)
-    return Model(tuple(out))
+    return Model(m1.constraints + tuple(c for c in m2.constraints if c not in present))
 
 
 def _declared_pairs(models, cls: str) -> dict[str, str] | None:
@@ -41,21 +39,23 @@ def _declared_pairs(models, cls: str) -> dict[str, str] | None:
     return pairs
 
 
-def _shared_classes(m1: Model, m2: Model) -> list[str]:
-    second = set(mentioned_classes(m2))
-    return [cls for cls in mentioned_classes(m1) if cls in second]
-
-
-def strict_merge(m1: Model, m2: Model) -> Model:
+def _complete_shared(m1: Model, m2: Model, sources) -> Model:
+    """The union, plus a completeness constraint for every class both models
+    mention, listing the attribute types that the source models declare."""
     out = list(union_merge(m1, m2).constraints)
-    for cls in _shared_classes(m1, m2):
-        pairs = _declared_pairs((m1, m2), cls)
+    second = set(mentioned_classes(m2))
+    for cls in mentioned_classes(m1):
+        pairs = _declared_pairs(sources, cls) if cls in second else None
         if pairs is None:
-            continue  # conflicting types: the union is already unsatisfiable
+            continue  # not shared, or conflicting types: the union is already unsatisfiable
         cand = AttrComplete(cls, tuple(pairs.items()))
         if cand not in out:
             out.append(cand)
     return Model(tuple(out))
+
+
+def strict_merge(m1: Model, m2: Model) -> Model:
+    return _complete_shared(m1, m2, (m1, m2))
 
 
 def override_merge(m1: Model, m2: Model) -> Model:
@@ -80,15 +80,7 @@ def intersect_merge(m1: Model, m2: Model) -> Model:
 
 
 def paranoid_merge(m1: Model, m2: Model) -> Model:
-    out = list(union_merge(m1, m2).constraints)
-    for cls in _shared_classes(m1, m2):
-        pairs = _declared_pairs((m1,), cls)
-        if pairs is None:
-            continue
-        cand = AttrComplete(cls, tuple(pairs.items()))
-        if cand not in out:
-            out.append(cand)
-    return Model(tuple(out))
+    return _complete_shared(m1, m2, (m1,))
 
 
 Operator = Callable[[Model, Model], Model]

@@ -336,10 +336,9 @@ def build_universe(
 
 
 def universe_from_spec(spec: dict, cap: int | None = DEFAULT_CAP) -> Universe:
-    try:
-        pools = [tuple(spec[key]) for key in ("classes", "attrs", "types")]
-    except (KeyError, TypeError):
-        raise UniverseError("universe spec needs 'classes', 'attrs' and 'types' lists") from None
+    pools = [spec.get(k) for k in ("classes", "attrs", "types")] if isinstance(spec, dict) else [None]
+    if not all(isinstance(pool, list) for pool in pools):
+        raise UniverseError("universe spec needs 'classes', 'attrs' and 'types' lists")
     for name in itertools.chain(*pools):
         if not isinstance(name, str) or not IDENT_RE.match(name):
             raise UniverseError(f"invalid name in universe spec: {name!r}")

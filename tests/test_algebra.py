@@ -26,6 +26,7 @@ from modelalg import (
     union_merge,
 )
 from modelalg import algebra
+from modelalg.operators import OPERATORS
 from modelalg.algebra import (
     MAX_WITNESSES,
     TABLE1_PROPS,
@@ -351,7 +352,7 @@ T2_FLIP_TO_TRUE = {
 
 
 def _verdicts(props, holds: bool, flipped=()) -> dict:
-    return {p: Verdict(p, holds != (p in flipped), (), True, 1, "test") for p in props}
+    return {p: Verdict(p, holds != (p in flipped), (), True, 1) for p in props}
 
 
 @pytest.mark.parametrize("base", [True, False])
@@ -433,6 +434,20 @@ def test_congruence_witness_is_sound(small_corpus, small_universe, small_oracle)
 
         f = get_operator(op)
         assert not small_oracle.eq(small_oracle.den(f(ma, mb)), small_oracle.den(f(ra, rb)))
+
+
+@pytest.mark.parametrize("op", sorted(OPERATORS))
+def test_single_checks_agree_with_classify(op, small_corpus, small_universe):
+    c, u = small_corpus, small_universe
+    rep = classify(op, c, u)
+    single = {
+        **check_pp(op, c, u), "FPP": check_fpp(op, c, u), "CP": check_cp(op, c, u),
+        **check_commutativity(op, c, u), **check_associativity(op, c, u),
+    }
+    assert single == rep.table1
+    for idx, props in rep.table2:
+        assert check_element(op, c.models[idx], c, u) == props
+    assert congruence_check(op, quotient(c, u), u).holds == rep.theorems["t2"]["congruence"]
 
 
 # --- stability --------------------------------------------------------------

@@ -161,6 +161,37 @@ def test_jobs_option_removed(files, capsys):
     assert code == 2 and "unrecognized arguments: --jobs" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("compose", "--operator", "union", "name.mcd", "age.mcd"),
+    ("sm", "name.mcd"),
+    ("check", "refines", "name.mcd", "age.mcd"),
+])
+def test_seed_option_only_where_read(files, capsys, command):
+    argv = [files / a if a.endswith(".mcd") else a for a in command]
+    code, err = run_refused(capsys, *argv, "--seed", "1")
+    assert code == 2 and "unrecognized arguments: --seed 1" in err
+
+
+def test_universe_pool_not_a_list_exits_2(files, capsys):
+    (files / "pq.mcd").write_text("class P { a: B }\n")
+    (files / "spec.json").write_text(json.dumps({"classes": "PQ", "attrs": "a", "types": "B"}))
+    code, out, err = run(capsys, "sm", files / "pq.mcd", "--universe", files / "spec.json")
+    assert code == 2 and out == ""
+    assert err == "error: universe spec needs 'classes', 'attrs' and 'types' lists\n"
+
+
+@pytest.mark.parametrize("command", [("sm",), ("check", "consistent"), ("quotient", "--corpus")])
+def test_non_utf8_model_exits_2(files, capsys, command):
+    corpus_dir = files / "corpus"
+    corpus_dir.mkdir()
+    path = corpus_dir / "latin1.mcd"
+    path.write_bytes("class Caf\xe9 { }\n".encode("latin-1"))
+    target = corpus_dir if command[0] == "quotient" else path
+    code, out, err = run(capsys, *command, target)
+    assert code == 2 and out == ""
+    assert err.startswith(f"{path}: ") and "can't decode byte 0xe9" in err and err.count("\n") == 1
+
+
 def test_classify_corpus_dir_json(files, capsys):
     corpus_dir = files / "corpus"
     corpus_dir.mkdir()

@@ -78,6 +78,17 @@ def test_universe_from_spec():
     assert u == WORKED
 
 
+@pytest.mark.parametrize("spec", [
+    {"classes": "PQ", "attrs": ["a"], "types": ["B"]},  # a string is not split into names
+    {"classes": ["P"], "attrs": {"a": 1}, "types": ["B"]},
+    {"classes": ["P"], "attrs": ["a"], "types": None},
+    ["P", "a", "B"],
+])
+def test_universe_spec_pools_must_be_lists(spec):
+    with pytest.raises(UniverseError, match="needs 'classes', 'attrs' and 'types' lists"):
+        universe_from_spec(spec)
+
+
 # --- enumeration ------------------------------------------------------------
 
 
