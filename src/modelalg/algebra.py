@@ -22,6 +22,7 @@ from .syntax import (
     AttrTyped,
     ClassExists,
     Model,
+    expand,
     render,
 )
 
@@ -494,17 +495,8 @@ def _model_at(bounds: CorpusBounds, states: list, index: int) -> Model:
         digits.append(index % len(states))
         index //= len(states)
     digits.reverse()
-    constraints: list = []
-    for cls, d in zip(bounds.class_names, digits):
-        state = states[d]
-        if state is None:
-            continue
-        pairs, complete = state
-        constraints.append(ClassExists(cls))
-        constraints.extend(AttrTyped(cls, a, t) for a, t in pairs)
-        if complete:
-            constraints.append(AttrComplete(cls, pairs))
-    return Model(tuple(constraints))
+    decls = [(cls, *states[d]) for cls, d in zip(bounds.class_names, digits) if states[d] is not None]
+    return Model(expand(decls))
 
 
 def _contradictory_model(bounds: CorpusBounds) -> Model | None:

@@ -61,7 +61,9 @@ def _load_model(path: str):
 
 def _resolve_universe(models, args):
     if args.universe == "auto":
-        return build_universe(models, *args.padding)
+        return build_universe(models, *(args.padding or ()))
+    if args.padding is not None:
+        raise CliError("--padding applies only to --universe auto, not to a universe file", 2)
     try:
         return load_universe(args.universe)
     except OSError as exc:
@@ -161,6 +163,8 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    if args.out is not None and args.output is not None:
+        raise CliError("give --out DIR or --output FILE, not both", 2)
     corpus = algebra.default_corpus(seed=args.seed)
     if args.out:
         out = Path(args.out)
@@ -190,8 +194,8 @@ def _add_common(sub, universe=True, corpus=False, seed=False) -> None:
     sub.add_argument("--output", default=None, help="write output to a file instead of stdout")
     if universe:
         sub.add_argument("--universe", default="auto", help="'auto' or a JSON universe spec path")
-        sub.add_argument("--padding", type=_padding, default=(1, 1, 1),
-                         help="fresh class,attr,type name counts for auto universes")
+        sub.add_argument("--padding", type=_padding, default=None,
+                         help="fresh class,attr,type name counts for auto universes (default 1,1,1)")
     if corpus:
         sub.add_argument("--corpus", default="default", help="'default' or a directory of .mcd files")
 

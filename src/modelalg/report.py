@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 
 from .algebra import OperatorReport, Partition, StabilityReport, Verdict, _show
 from .syntax import render
@@ -43,8 +43,45 @@ def report_to_dict(r: OperatorReport) -> dict:
     }
 
 
+def _write_json(value, out: list, newline: str) -> None:
+    """Append to out the pieces of json.dumps(value, indent=2), for values made
+    of dicts with str keys, lists, str, int, bool and None; newline is a line
+    break plus the indentation of value's level."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(item, out, inner)
+            sep = comma
+        out.append(newline + "}" if value else "{}")
+    elif isinstance(value, list):
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = comma
+        out.append(newline + "]" if value else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def report_to_json(r: OperatorReport) -> str:
-    return json.dumps(report_to_dict(r), indent=2) + "\n"
+    out: list[str] = []
+    _write_json(report_to_dict(r), out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def report_to_text(r: OperatorReport) -> str:

@@ -8,6 +8,7 @@ tables) but never for the semantics, which is a pure conjunction.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -18,43 +19,52 @@ def _check_ident(name: str, what: str) -> None:
         raise ValueError(f"invalid {what} name: {name!r}")
 
 
-@dataclass(frozen=True)
-class ClassExists:
-    cls: str
+class _Atom:
+    """Base of the constraints, tuples so that hashing and equality run in C
+    (kinds differ in length, so never compare equal).  ``_make``, and
+    ``_replace`` through it, validate in ``__new__`` as copy and pickle do."""
 
-    def __post_init__(self):
-        _check_ident(self.cls, "class")
+    __slots__ = ()
 
-
-@dataclass(frozen=True)
-class AttrTyped:
-    cls: str
-    attr: str
-    type: str
-
-    def __post_init__(self):
-        _check_ident(self.cls, "class")
-        _check_ident(self.attr, "attribute")
-        _check_ident(self.type, "type")
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class AttrComplete:
+class ClassExists(_Atom, namedtuple("ClassExists", "cls")):
+    __slots__ = ()
+
+    def __new__(_cls, cls: str):
+        _check_ident(cls, "class")
+        return tuple.__new__(_cls, (cls,))
+
+
+class AttrTyped(_Atom, namedtuple("AttrTyped", "cls attr type")):
+    __slots__ = ()
+
+    def __new__(_cls, cls: str, attr: str, type: str):
+        _check_ident(cls, "class")
+        _check_ident(attr, "attribute")
+        _check_ident(type, "type")
+        return tuple.__new__(_cls, (cls, attr, type))
+
+
+class AttrComplete(_Atom, namedtuple("AttrComplete", "cls attrs")):
     """The class has exactly the given attributes, with exactly these types."""
 
-    cls: str
-    attrs: tuple[tuple[str, str], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "attrs", tuple((a, t) for a, t in self.attrs))
-        _check_ident(self.cls, "class")
+    def __new__(_cls, cls: str, attrs: tuple[tuple[str, str], ...]):
+        attrs = tuple((a, t) for a, t in attrs)
+        _check_ident(cls, "class")
         seen = set()
-        for a, t in self.attrs:
+        for a, t in attrs:
             _check_ident(a, "attribute")
             _check_ident(t, "type")
             if a in seen:
                 raise ValueError(f"duplicate attribute {a!r} in completeness constraint")
             seen.add(a)
+        return tuple.__new__(_cls, (cls, attrs))
 
     def attr_map(self) -> dict[str, str]:
         return dict(self.attrs)
@@ -105,17 +115,29 @@ def mentioned_classes(m: Model) -> list[str]:
     return out
 
 
+_Decl = namedtuple("_Decl", "cls attrs complete")
+
+
+def expand(decls) -> tuple[Constraint, ...]:
+    """The constraints that (class, attribute pairs, complete) declarations
+    stand for: ClassExists, one AttrTyped per pair in written order, and a
+    trailing AttrComplete for a complete declaration."""
+    out: list[Constraint] = []
+    for cls, attrs, complete in decls:
+        out.append(ClassExists(cls))
+        out.extend(AttrTyped(cls, a, t) for a, t in attrs)
+        if complete:
+            out.append(AttrComplete(cls, attrs))
+    return tuple(out)
+
+
 # --- lexer -----------------------------------------------------------------
 
 _KEYWORDS = {"class", "complete"}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT, LBRACE, RBRACE, COLON, COMMA, KW_CLASS, KW_COMPLETE, EOF
-    text: str
-    line: int
-    col: int
+# kind: IDENT, LBRACE, RBRACE, COLON, COMMA, KW_CLASS, KW_COMPLETE or EOF
+_Token = namedtuple("_Token", "kind text line col")
 
 
 _PUNCT = {"{": "LBRACE", "}": "RBRACE", ":": "COLON", ",": "COMMA"}
@@ -155,12 +177,10 @@ def parse(text: str) -> tuple[Model | None, list[Diagnostic]]:
     """Parse source text; returns (model, diagnostics).  The model is None
     exactly when an error diagnostic was produced.
 
-    Each declaration expands to ClassExists followed by one AttrTyped per
-    attribute in written order, plus a trailing AttrComplete for `complete`
-    declarations.
+    Each declaration expands to constraints as `expand` says.
     """
     tokens, diags = _lex(text)
-    constraints: list[Constraint] = []
+    decls: list[_Decl] = []
     i = 0
 
     def err(msg: str, tok: _Token) -> None:
@@ -232,14 +252,11 @@ def parse(text: str) -> tuple[Model | None, list[Diagnostic]]:
             recover()
             continue
         i += 1
-        constraints.append(ClassExists(cls))
-        constraints.extend(AttrTyped(cls, a, t) for a, t in attrs)
-        if complete:
-            constraints.append(AttrComplete(cls, tuple(attrs)))
+        decls.append(_Decl(cls, tuple(attrs), complete))
 
     if any(d.severity == "error" for d in diags):
         return None, diags
-    return Model(tuple(constraints)), diags
+    return Model(expand(decls)), diags
 
 
 def parse_strict(text: str) -> Model:
@@ -250,13 +267,6 @@ def parse_strict(text: str) -> Model:
 
 
 # --- printing --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Decl:
-    cls: str
-    attrs: tuple[tuple[str, str], ...]
-    complete: bool
 
 
 def _group(m: Model) -> list[_Decl]:
@@ -298,21 +308,11 @@ def _group(m: Model) -> list[_Decl]:
     return decls
 
 
-def _expand(decls: list[_Decl]) -> tuple[Constraint, ...]:
-    out: list[Constraint] = []
-    for d in decls:
-        out.append(ClassExists(d.cls))
-        out.extend(AttrTyped(d.cls, a, t) for a, t in d.attrs)
-        if d.complete:
-            out.append(AttrComplete(d.cls, d.attrs))
-    return tuple(out)
-
-
 def normalize(m: Model) -> Model:
     """Insert the constraints implied by the rendering of m, so that
     parse(render(m)) == normalize(m) holds for every well-formed model.
     Semantics-preserving: every inserted constraint is implied by one of m's."""
-    return Model(_expand(_group(m)))
+    return Model(expand(_group(m)))
 
 
 def render(m: Model) -> str:

@@ -172,6 +172,22 @@ def test_seed_option_only_where_read(files, capsys, command):
     assert code == 2 and "unrecognized arguments: --seed 1" in err
 
 
+@pytest.mark.parametrize("command", [("sm", "name.mcd"), ("classify", "--operator", "union", "--corpus", "corpus")])
+def test_padding_with_universe_file_exits_2(files, capsys, command):
+    (files / "corpus").mkdir()
+    (files / "corpus" / "a.mcd").write_text(PERSON_NAME)
+    argv = [files / a if a.endswith(".mcd") or a == "corpus" else a for a in command]
+    code, out, err = run(capsys, *argv, "--universe", files / "universe.json", "--padding", "2,2,2")
+    assert code == 2 and out == ""
+    assert err == "--padding applies only to --universe auto, not to a universe file\n"
+
+
+def test_padding_defaults_to_one_fresh_name_each(files, capsys):
+    default = run(capsys, "sm", files / "name.mcd")
+    assert run(capsys, "sm", files / "name.mcd", "--universe", "auto", "--padding", "1,1,1") == default
+    assert run(capsys, "sm", files / "name.mcd", "--padding", "0,0,0") != default
+
+
 def test_universe_pool_not_a_list_exits_2(files, capsys):
     (files / "pq.mcd").write_text("class P { a: B }\n")
     (files / "spec.json").write_text(json.dumps({"classes": "PQ", "attrs": "a", "types": "B"}))
@@ -261,6 +277,13 @@ def test_corpus_out_uncreatable_exits_2(files, capsys):
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith(f"cannot write corpus to {target}: ") and err.count("\n") == 1
+
+
+def test_corpus_out_and_output_exits_2(files, capsys):
+    code, out, err = run(capsys, "corpus", "--out", files / "d", "--output", files / "f.txt")
+    assert code == 2 and out == ""
+    assert err == "give --out DIR or --output FILE, not both\n"
+    assert not (files / "d").exists() and not (files / "f.txt").exists()
 
 
 def test_classify_universe_missing_a_corpus_name_exits_2(files, capsys):

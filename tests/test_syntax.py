@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -14,7 +17,7 @@ from modelalg import (
     syntactic_eq,
 )
 
-from .strategies import models
+from .strategies import constraints, models
 
 
 def test_parse_person_example():
@@ -85,6 +88,58 @@ def test_attr_complete_duplicate_names_unconstructible():
 def test_invalid_identifier_unconstructible():
     with pytest.raises(ValueError):
         ClassExists("_C1")
+
+
+@given(constraints, constraints)
+def test_constraints_of_different_kinds_never_equal(a, b):
+    if type(a) is not type(b):
+        assert a != b
+
+
+@given(constraints)
+def test_equal_fields_give_equal_hashes(c):
+    twin = type(c)(*c)
+    assert twin == c and hash(twin) == hash(c)
+
+
+@pytest.mark.parametrize("c, field", [
+    (ClassExists("P"), "cls"),
+    (AttrTyped("P", "a", "T"), "attr"),
+    (AttrComplete("P", ()), "attrs"),
+])
+def test_constraints_are_immutable(c, field):
+    with pytest.raises(AttributeError):
+        setattr(c, field, "Q")
+
+
+def test_constraint_repr():
+    assert repr(ClassExists("P")) == "ClassExists(cls='P')"
+    assert repr(AttrTyped("P", "a", "T")) == "AttrTyped(cls='P', attr='a', type='T')"
+    assert repr(AttrComplete("P", [("a", "T")])) == "AttrComplete(cls='P', attrs=(('a', 'T'),))"
+
+
+def _invalid(valid, field, value):
+    """valid with one field set to value, made by going round the constructor."""
+    return tuple.__new__(type(valid), [value if name == field else f for name, f in zip(valid._fields, valid)])
+
+
+BUILDS = {
+    "_make": lambda valid, field, value: type(valid)._make(list(_invalid(valid, field, value))),
+    "_replace": lambda valid, field, value: valid._replace(**{field: value}),
+    "copy": lambda valid, field, value: copy.copy(_invalid(valid, field, value)),
+    "pickle": lambda valid, field, value: pickle.loads(pickle.dumps(_invalid(valid, field, value))),
+}
+
+
+@pytest.mark.parametrize("valid, field, value", [
+    (ClassExists("P"), "cls", "1P"),
+    (AttrTyped("P", "a", "T"), "type", "_T"),
+    (AttrComplete("P", (("a", "T"),)), "attrs", (("a", "T"), ("a", "U"))),
+])
+@pytest.mark.parametrize("how", sorted(BUILDS))
+def test_every_way_of_building_a_constraint_validates(valid, field, value, how):
+    with pytest.raises(ValueError):
+        BUILDS[how](valid, field, value)
 
 
 def test_syntactic_eq_order_sensitive():
