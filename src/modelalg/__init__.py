@@ -41,12 +41,10 @@ from .semantics import (
     UniverseError,
     build_universe,
     denotation,
-    enumerate_systems,
     is_consistent,
     is_uninformative,
     load_universe,
     refines,
-    satisfies,
     semantically_eq,
     universe_from_spec,
 )
@@ -56,7 +54,6 @@ from .syntax import (
     ClassExists,
     Constraint,
     Diagnostic,
-    EMPTY_MODEL,
     Model,
     ParseError,
     mentioned_classes,

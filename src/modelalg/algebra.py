@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .operators import Operator, get_operator
 from .semantics import Denotation, Universe, build_universe, denotation
@@ -190,9 +191,12 @@ def _verdict(prop, witnesses, checked, exhaustive) -> Verdict:
     return Verdict(prop, not witnesses, tuple(witnesses), exhaustive, checked)
 
 
-def _sample_triples(n: int, seed: int, count: int = TRIPLE_SAMPLES):
+@lru_cache(maxsize=8)
+def _sample_triples(n: int, seed: int, count: int = TRIPLE_SAMPLES) -> tuple:
+    """The seeded associativity sample, drawn once per (n, seed, count) and
+    shared: every operator classified over one corpus checks the same triples."""
     rng = random.Random(seed)
-    return [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+    return tuple((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(count))
 
 
 # --- table 1 ---------------------------------------------------------------

@@ -12,12 +12,16 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .syntax import AttrComplete, AttrTyped, Model, mentioned_classes
+from .syntax import AttrComplete, AttrTyped, Model
+
+
+def _union(first: tuple, present, m2: Model) -> Model:
+    """first, then the constraints of m2 that are not in present (first's set)."""
+    return Model(first + tuple(c for c in m2.constraints if c not in present))
 
 
 def union_merge(m1: Model, m2: Model) -> Model:
-    present = set(m1.constraints)
-    return Model(m1.constraints + tuple(c for c in m2.constraints if c not in present))
+    return _union(m1.constraints, m1.constraint_set, m2)
 
 
 def _declared_pairs(models, cls: str) -> dict[str, str] | None:
@@ -26,16 +30,9 @@ def _declared_pairs(models, cls: str) -> dict[str, str] | None:
     attribute."""
     pairs: dict[str, str] = {}
     for m in models:
-        for c in m.constraints:
-            if isinstance(c, AttrTyped) and c.cls == cls:
-                items = ((c.attr, c.type),)
-            elif isinstance(c, AttrComplete) and c.cls == cls:
-                items = c.attrs
-            else:
-                continue
-            for a, t in items:
-                if pairs.setdefault(a, t) != t:
-                    return None
+        for a, t in m.declared.get(cls, ()):
+            if pairs.setdefault(a, t) != t:
+                return None
     return pairs
 
 
@@ -43,12 +40,12 @@ def _complete_shared(m1: Model, m2: Model, sources) -> Model:
     """The union, plus a completeness constraint for every class both models
     mention, listing the attribute types that the source models declare."""
     out = list(union_merge(m1, m2).constraints)
-    second = set(mentioned_classes(m2))
-    for cls in mentioned_classes(m1):
-        pairs = _declared_pairs(sources, cls) if cls in second else None
+    for cls in m1.declared:
+        pairs = _declared_pairs(sources, cls) if cls in m2.declared else None
         if pairs is None:
             continue  # not shared, or conflicting types: the union is already unsatisfiable
-        cand = AttrComplete(cls, tuple(pairs.items()))
+        # validated already: the pairs come from the sources' constraints
+        cand = AttrComplete._trusted(cls, tuple(pairs.items()))
         if cand not in out:
             out.append(cand)
     return Model(tuple(out))
@@ -67,11 +64,11 @@ def override_merge(m1: Model, m2: Model) -> Model:
         for c in m1.constraints
         if not (isinstance(c, AttrTyped) and winners.get((c.cls, c.attr), c.type) != c.type)
     )
-    return union_merge(Model(residue), m2)
+    return _union(residue, set(residue), m2)
 
 
 def intersect_merge(m1: Model, m2: Model) -> Model:
-    second = set(m2.constraints)
+    second = m2.constraint_set
     out = []
     for c in m1.constraints:
         if c in second and c not in out:

@@ -9,8 +9,8 @@ Because each constraint mentions exactly one class, every denotation is a
 product of per-class state sets.  Denotations are therefore stored factored
 (one bitset of per-class states per pool class), which keeps intersection,
 subset, equality, and cardinality exact even for universes far beyond the
-enumeration cap.  Explicit enumeration (and the global bitset view) is only
-available below the cap.
+enumeration cap.  Listing a denotation's systems is only available below
+the cap.
 """
 
 from __future__ import annotations
@@ -137,14 +137,6 @@ class System:
         return "; ".join(parts)
 
 
-def enumerate_systems(u: Universe):
-    """All systems in canonical mixed-radix order (first pool class is the
-    most significant digit).  Index 0 is the all-absent system."""
-    _enumeration_guard(u)
-    for states in itertools.product(range(u.class_state_count), repeat=len(u.class_pool)):
-        yield System(u, states)
-
-
 def _check_names(u: Universe, constraints) -> None:
     for c in constraints:
         if c.cls not in u.class_pool:
@@ -159,16 +151,6 @@ def _check_names(u: Universe, constraints) -> None:
                 raise UniverseError(f"attribute {a!r} not in universe")
             if t not in u.type_pool:
                 raise UniverseError(f"type {t!r} not in universe")
-
-
-def satisfies(s: System, c: Constraint) -> bool:
-    _check_names(s.universe, (c,))
-    attrs = s.class_attrs(c.cls)
-    if isinstance(c, ClassExists):
-        return attrs is not None
-    if isinstance(c, AttrTyped):
-        return attrs is not None and attrs.get(c.attr) == c.type
-    return attrs is not None and attrs == c.attr_map()
 
 
 @dataclass(frozen=True)
@@ -230,12 +212,6 @@ class Denotation:
     def systems(self):
         for states in self._member_states():
             yield System(self.universe, states)
-
-    def to_bitset(self) -> int:
-        bits = 0
-        for idx in self.indices():
-            bits |= 1 << idx
-        return bits
 
 
 def _constraint_mask(u: Universe, c: Constraint) -> tuple[int, int]:

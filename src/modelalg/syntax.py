@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -66,6 +67,12 @@ class AttrComplete(_Atom, namedtuple("AttrComplete", "cls attrs")):
             seen.add(a)
         return tuple.__new__(_cls, (cls, attrs))
 
+    @classmethod
+    def _trusted(_cls, cls: str, attrs: tuple[tuple[str, str], ...]):
+        """Build without validation, from names and (attribute, type) pairs
+        taken from already validated constraints, with no attribute twice."""
+        return tuple.__new__(_cls, (cls, attrs))
+
     def attr_map(self) -> dict[str, str]:
         return dict(self.attrs)
 
@@ -75,13 +82,32 @@ Constraint = ClassExists | AttrTyped | AttrComplete
 
 @dataclass(frozen=True)
 class Model:
+    """An ordered tuple of constraints.  `constraint_set` and `declared` are
+    views derived from the constraints and built on first use.  They are
+    read-only (callers must not mutate them) and take no part in equality,
+    hashing or repr, which see `constraints` only."""
+
     constraints: tuple[Constraint, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
 
+    @cached_property
+    def constraint_set(self) -> frozenset:
+        return frozenset(self.constraints)
 
-EMPTY_MODEL = Model()
+    @cached_property
+    def declared(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """For each class in first-mention order, the (attribute, type) pairs
+        that its AttrTyped and AttrComplete constraints declare, in order."""
+        out: dict[str, list] = {}
+        for c in self.constraints:
+            items = out.setdefault(c.cls, [])
+            if isinstance(c, AttrTyped):
+                items.append((c.attr, c.type))
+            elif isinstance(c, AttrComplete):
+                items.extend(c.attrs)
+        return {cls: tuple(items) for cls, items in out.items()}
 
 
 @dataclass(frozen=True)
@@ -108,11 +134,7 @@ def syntactic_eq(m1: Model, m2: Model) -> bool:
 
 def mentioned_classes(m: Model) -> list[str]:
     """Class names in first-mention order."""
-    out: list[str] = []
-    for c in m.constraints:
-        if c.cls not in out:
-            out.append(c.cls)
-    return out
+    return list(m.declared)
 
 
 _Decl = namedtuple("_Decl", "cls attrs complete")

@@ -1,13 +1,16 @@
 """Independent ground-truth oracles.
 
 `naive_denotation` literally enumerates every system and evaluates every
-constraint against it, one system at a time.  `EnumOracle` does the same
+constraint against it, one system at a time, with the reference semantics
+`enumerate_systems` and `satisfies` defined here.  `EnumOracle` does the same
 per-system evaluation vectorized with numpy so it stays usable on the
 quarter-million-system default universe.  Neither shares the production
 code path, which never enumerates (it works on factored per-class sets).
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -16,10 +19,48 @@ from modelalg import (
     AttrTyped,
     ClassExists,
     Model,
-    enumerate_systems,
+    System,
+    UniverseError,
     parse_strict,
-    satisfies,
 )
+
+MAX_ENUMERATED_SYSTEMS = 1 << 20
+
+
+def enumerate_systems(u):
+    """All systems in canonical mixed-radix order (first pool class is the
+    most significant digit).  Index 0 is the all-absent system."""
+    if u.system_count > MAX_ENUMERATED_SYSTEMS:
+        raise ValueError(f"universe too large to enumerate: {u.system_count}")
+    for states in itertools.product(range(u.class_state_count), repeat=len(u.class_pool)):
+        yield System(u, states)
+
+
+def satisfies(s: System, c) -> bool:
+    """Whether system s satisfies constraint c, read off its attribute map."""
+    u = s.universe
+    pairs = ()
+    if isinstance(c, AttrTyped):
+        pairs = ((c.attr, c.type),)
+    elif isinstance(c, AttrComplete):
+        pairs = c.attrs
+    for a, t in pairs:
+        if a not in u.attr_pool or t not in u.type_pool:
+            raise UniverseError(f"{c!r} names an attribute or type not in the universe")
+    attrs = s.class_attrs(c.cls)  # raises UniverseError for a class not in the universe
+    if isinstance(c, ClassExists):
+        return attrs is not None
+    if isinstance(c, AttrTyped):
+        return attrs is not None and attrs.get(c.attr) == c.type
+    return attrs is not None and attrs == c.attr_map()
+
+
+def to_bitset(d) -> int:
+    """A denotation as one int, with bit i set for each member system index i."""
+    bits = 0
+    for idx in d.indices():
+        bits |= 1 << idx
+    return bits
 
 
 def naive_denotation(m, u) -> frozenset[int]:
@@ -37,7 +78,7 @@ def parse_witness(text: str) -> Model:
 class EnumOracle:
     """Vectorized exhaustive-enumeration semantics for one universe."""
 
-    def __init__(self, u, max_systems: int = 1 << 20):
+    def __init__(self, u, max_systems: int = MAX_ENUMERATED_SYSTEMS):
         if u.system_count > max_systems:
             raise ValueError(f"universe too large for enumeration oracle: {u.system_count}")
         self.u = u

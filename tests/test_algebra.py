@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from modelalg import (
@@ -179,6 +181,31 @@ def test_associativity_samples_above_threshold():
     assert not verdicts["Ass_sm"].exhaustive
     assert verdicts["Ass_sm"].checked == 10_000
     assert verdicts["Ass"].holds and verdicts["Ass_sm"].holds
+
+
+def test_sample_triples_is_a_fresh_seeded_draw():
+    for n, seed in ((36, 42), (25, 7)):
+        rng = random.Random(seed)
+        fresh = [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(10_000)]
+        sample = algebra._sample_triples(n, seed)
+        assert isinstance(sample, tuple)
+        assert list(sample) == fresh
+        assert algebra._sample_triples(n, seed) is sample
+
+
+def test_shared_sample_leaves_associativity_verdicts_alone():
+    bounds = CorpusBounds(("P", "Q"), ("n", "m"), ("S", "T"), include_complete=True)
+    corpus = generate_corpus(bounds, max_models=25)
+    universe = build_universe(corpus.models)
+    algebra._sample_triples.cache_clear()
+    classify("union", corpus, universe)
+    after_union = classify("strict", corpus, universe).table1
+    algebra._sample_triples.cache_clear()
+    alone = classify("strict", corpus, universe).table1
+    for prop in ("Ass", "Ass_sm"):
+        assert not alone[prop].exhaustive
+        assert after_union[prop] == alone[prop]
+    assert not alone["Ass"].holds and alone["Ass"].witnesses
 
 
 # --- table 2 checks ---------------------------------------------------------

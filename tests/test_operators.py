@@ -1,3 +1,7 @@
+import dataclasses
+import pickle
+
+import pytest
 from hypothesis import given, settings
 
 from modelalg import (
@@ -198,3 +202,138 @@ def test_inputs_refine_intersect(m1, m2):
     d = denotation(intersect_merge(m1, m2), u)
     assert denotation(m1, u).issubset(d)
     assert denotation(m2, u).issubset(d)
+
+
+# --- the operators against a scanning reference -----------------------------
+# The operators read the cached per-model views `declared` and
+# `constraint_set`.  The reference below scans the constraint tuples instead,
+# as the operators did before the views existed.
+
+
+def _ref_union(m1, m2):
+    present = set(m1.constraints)
+    return Model(m1.constraints + tuple(c for c in m2.constraints if c not in present))
+
+
+def _ref_classes(m):
+    out = []
+    for c in m.constraints:
+        if c.cls not in out:
+            out.append(c.cls)
+    return out
+
+
+def _ref_declared_pairs(models, cls):
+    pairs = {}
+    for m in models:
+        for c in m.constraints:
+            if isinstance(c, AttrTyped) and c.cls == cls:
+                items = ((c.attr, c.type),)
+            elif isinstance(c, AttrComplete) and c.cls == cls:
+                items = c.attrs
+            else:
+                continue
+            for a, t in items:
+                if pairs.setdefault(a, t) != t:
+                    return None
+    return pairs
+
+
+def _ref_complete_shared(m1, m2, sources):
+    out = list(_ref_union(m1, m2).constraints)
+    second = set(_ref_classes(m2))
+    for cls in _ref_classes(m1):
+        pairs = _ref_declared_pairs(sources, cls) if cls in second else None
+        if pairs is None:
+            continue
+        cand = AttrComplete(cls, tuple(pairs.items()))
+        if cand not in out:
+            out.append(cand)
+    return Model(tuple(out))
+
+
+def _ref_override(m1, m2):
+    winners = {(c.cls, c.attr): c.type for c in m2.constraints if isinstance(c, AttrTyped)}
+    residue = tuple(
+        c
+        for c in m1.constraints
+        if not (isinstance(c, AttrTyped) and winners.get((c.cls, c.attr), c.type) != c.type)
+    )
+    return _ref_union(Model(residue), m2)
+
+
+def _ref_intersect(m1, m2):
+    second = set(m2.constraints)
+    out = []
+    for c in m1.constraints:
+        if c in second and c not in out:
+            out.append(c)
+    return Model(tuple(out))
+
+
+REFERENCE_OPERATORS = {
+    "union": _ref_union,
+    "strict": lambda m1, m2: _ref_complete_shared(m1, m2, (m1, m2)),
+    "override": _ref_override,
+    "intersect": _ref_intersect,
+    "paranoid": lambda m1, m2: _ref_complete_shared(m1, m2, (m1,)),
+}
+
+
+def _revalidated(m):
+    """m rebuilt through the validating public constructors."""
+    return Model(tuple(type(c)(*c) for c in m.constraints))
+
+
+@settings(max_examples=200)
+@given(models, models, models)
+def test_operators_match_scanning_reference(m1, m2, m3):
+    for name, op in OPERATORS.items():
+        ref = REFERENCE_OPERATORS[name]
+        out = op(m1, m2)
+        assert out.constraints == ref(m1, m2).constraints, name
+        # composed models, whose views are built from operator output, as inputs
+        assert op(out, m3).constraints == ref(out, m3).constraints, name
+        assert op(m3, out).constraints == ref(m3, out).constraints, name
+
+
+@settings(max_examples=200)
+@given(models, models)
+def test_operator_outputs_equal_revalidated_copies(m1, m2):
+    for name, op in OPERATORS.items():
+        out = op(m1, m2)
+        copy = _revalidated(out)
+        assert copy == out, name
+        assert [type(c) for c in copy.constraints] == [type(c) for c in out.constraints]
+
+
+@settings(max_examples=200)
+@given(models)
+def test_views_agree_with_a_scan(m):
+    assert m.constraint_set == frozenset(m.constraints)
+    assert list(m.declared) == _ref_classes(m)
+    for cls, items in m.declared.items():
+        scanned = []
+        for c in m.constraints:
+            if isinstance(c, AttrTyped) and c.cls == cls:
+                scanned.append((c.attr, c.type))
+            elif isinstance(c, AttrComplete) and c.cls == cls:
+                scanned.extend(c.attrs)
+        assert items == tuple(scanned)
+
+
+@settings(max_examples=100)
+@given(models)
+def test_built_views_leave_equality_hashing_and_pickling_alone(m):
+    fresh = Model(m.constraints)
+    key, text = hash(fresh), repr(fresh)
+    m.declared, m.constraint_set  # build both views on m only
+    assert m == fresh and fresh == m
+    assert hash(m) == key
+    assert repr(m) == text
+    for pickled in (m, fresh):
+        back = pickle.loads(pickle.dumps(pickled))
+        assert back == m and hash(back) == key
+        assert back.declared == m.declared and back.constraint_set == m.constraint_set
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.declared = {}

@@ -13,18 +13,16 @@ from modelalg import (
     build_universe,
     classify,
     denotation,
-    enumerate_systems,
     is_consistent,
     is_uninformative,
     normalize,
     parse_strict,
     refines,
-    satisfies,
     semantically_eq,
     universe_from_spec,
 )
 
-from .oracle import EnumOracle, naive_denotation
+from .oracle import EnumOracle, enumerate_systems, naive_denotation, satisfies, to_bitset
 from .strategies import PADDED_UNIVERSE, TINY_UNIVERSE, constraints, models
 
 PERSON = parse_strict("class Person { name: String }")
@@ -207,7 +205,7 @@ def test_denotation_matches_naive_oracle_worked():
 
 def test_bitset_view():
     d = denotation(PERSON, WORKED)
-    bits = d.to_bitset()
+    bits = to_bitset(d)
     assert bits.bit_count() == d.size
     idx = list(d.indices())
     assert idx == sorted(idx)
