@@ -140,7 +140,10 @@ class _Composer:
     interned once, by its constraints, to an int id, so two ids are equal
     exactly when their models are syntactically equal.  The corpus is interned
     on construction; `ids` holds its ids in corpus order.  Compositions are
-    memoized by id pair, and each id's denotation is computed once."""
+    memoized by id pair, and each id's denotation is computed once.  Denotations
+    are canonical: `den` and `meet` hand out one Denotation object per distinct
+    denotation, so the checks compare semantics by `is`, and compute none where
+    the ids already agree (equal ids denote the same set)."""
 
     def __init__(self, op: str | Operator, corpus: Corpus, u: Universe):
         self.op = get_operator(op) if isinstance(op, str) else op
@@ -148,6 +151,8 @@ class _Composer:
         self.by_constraints: dict = {}  # constraints -> id
         self.models: list[Model] = []  # id -> model
         self.dens: list = []  # id -> denotation, None until first needed
+        self.canon: dict = {}  # class masks -> the one Denotation with them
+        self.meets: dict = {}  # (id, id) -> den(a) & den(b)
         self.texts: dict = {}  # id -> one-line source, for the ids a witness shows
         self.results: dict = {}  # (id, id) -> id of the composition
         self.ids = [self.intern(m) for m in corpus.models]
@@ -169,7 +174,15 @@ class _Composer:
     def den(self, i: int) -> Denotation:
         d = self.dens[i]
         if d is None:
-            d = self.dens[i] = denotation(self.models[i], self.u)
+            d = denotation(self.models[i], self.u)
+            d = self.dens[i] = self.canon.setdefault(d.class_masks, d)
+        return d
+
+    def meet(self, a: int, b: int) -> Denotation:
+        d = self.meets.get((a, b))
+        if d is None:
+            d = self.den(a) & self.den(b)
+            d = self.meets[a, b] = self.canon.setdefault(d.class_masks, d)
         return d
 
     def show(self, i: int) -> str:
@@ -207,7 +220,7 @@ def _check_pp(comp: _Composer) -> dict:
     for a in comp.ids:
         for b in comp.ids:
             dc, d1, d2 = comp.den(comp(a, b)), comp.den(a), comp.den(b)
-            rows = (wl, d1, "sm(m1)"), (wr, d2, "sm(m2)"), (wb, d1 & d2, "sm(m1) & sm(m2)")
+            rows = (wl, d1, "sm(m1)"), (wr, d2, "sm(m2)"), (wb, comp.meet(a, b), "sm(m1) & sm(m2)")
             for kept, bound, name in rows:
                 if not dc.issubset(bound):
                     _keep(kept, lambda: Witness(
@@ -225,9 +238,8 @@ def _check_fpp(comp: _Composer) -> Verdict:
     failures = []
     for a in comp.ids:
         for b in comp.ids:
-            dc = comp.den(comp(a, b))
-            di = comp.den(a) & comp.den(b)
-            if dc != di:
+            dc, di = comp.den(comp(a, b)), comp.meet(a, b)
+            if dc is not di:
                 _keep(failures, lambda: Witness(
                     (comp.show(a), comp.show(b)), "sm(op(m1,m2)) equals sm(m1) & sm(m2)",
                     f"|sm(op(m1,m2))|={dc.size}, |sm(m1) & sm(m2)|={di.size}"))
@@ -238,7 +250,7 @@ def _check_cp(comp: _Composer) -> Verdict:
     failures = []
     for a in comp.ids:
         for b in comp.ids:
-            di = comp.den(a) & comp.den(b)
+            di = comp.meet(a, b)
             if di.is_empty:
                 continue
             if comp.den(comp(a, b)).is_empty:
@@ -261,11 +273,11 @@ def _check_commutativity(comp: _Composer) -> dict:
                 _keep(syn, lambda: Witness(
                     (comp.show(a), comp.show(b)), "op(m1,m2) syntactically equals op(m2,m1)",
                     f"op(m1,m2)={comp.show(ab)}; op(m2,m1)={comp.show(ba)}"))
-            da, db = comp.den(ab), comp.den(ba)
-            if da != db:
-                _keep(sem, lambda: Witness(
-                    (comp.show(a), comp.show(b)), "sm(op(m1,m2)) equals sm(op(m2,m1))",
-                    f"|sm(op(m1,m2))|={da.size}, |sm(op(m2,m1))|={db.size}"))
+                da, db = comp.den(ab), comp.den(ba)
+                if da is not db:
+                    _keep(sem, lambda: Witness(
+                        (comp.show(a), comp.show(b)), "sm(op(m1,m2)) equals sm(op(m2,m1))",
+                        f"|sm(op(m1,m2))|={da.size}, |sm(op(m2,m1))|={db.size}"))
     checked = n * (n - 1) // 2
     return {
         "Com": _verdict("Com", syn, checked, True),
@@ -292,12 +304,12 @@ def _check_associativity(comp: _Composer, seed: int) -> dict:
                 (comp.show(a), comp.show(b), comp.show(c)),
                 "op(op(m1,m2),m3) syntactically equals op(m1,op(m2,m3))",
                 f"left={comp.show(left)}; right={comp.show(right)}"))
-        dl, dr = comp.den(left), comp.den(right)
-        if dl != dr:
-            _keep(sem, lambda: Witness(
-                (comp.show(a), comp.show(b), comp.show(c)),
-                "sm(op(op(m1,m2),m3)) equals sm(op(m1,op(m2,m3)))",
-                f"|left|={dl.size}, |right|={dr.size}"))
+            dl, dr = comp.den(left), comp.den(right)
+            if dl is not dr:
+                _keep(sem, lambda: Witness(
+                    (comp.show(a), comp.show(b), comp.show(c)),
+                    "sm(op(op(m1,m2),m3)) equals sm(op(m1,op(m2,m3)))",
+                    f"|left|={dl.size}, |right|={dr.size}"))
     return {
         "Ass": _verdict("Ass", syn, checked, exhaustive),
         "Ass_sm": _verdict("Ass_sm", sem, checked, exhaustive),
@@ -331,16 +343,16 @@ def _check_element(comp: _Composer, e: int) -> dict:
         rm, lm = comp(i, e), comp(e, i)
         terms = {"m1": i, "m": e, "op(m1,m)": rm, "op(m,m1)": lm,
                  "op(op(m1,m),m)": comp(rm, e), "op(m,op(m,m1))": comp(e, lm)}
-        dens = {t: comp.den(x) for t, x in terms.items()}
         for prop, names, (a, b, c), shown, syn_relation, sem_relation in _ELEMENT_ROWS:
-            if not terms[a] == terms[b] == terms[c]:
+            x, y, z = terms[a], terms[b], terms[c]
+            if not x == y == z:
                 _keep(fails[prop], lambda: Witness(
                     (comp.show(i), comp.show(e)), syn_relation,
                     "; ".join([f"{t}={comp.show(terms[t])}" for t in shown])))
-            if not dens[a] == dens[b] == dens[c]:
-                _keep(fails[prop + "_comp"], lambda: Witness(
-                    (comp.show(i), comp.show(e)), sem_relation,
-                    ", ".join([f"|sm({t})|={dens[t].size}" for t in names])))
+                if not comp.den(x) is comp.den(y) is comp.den(z):
+                    _keep(fails[prop + "_comp"], lambda: Witness(
+                        (comp.show(i), comp.show(e)), sem_relation,
+                        ", ".join([f"|sm({t})|={comp.den(terms[t]).size}" for t in names])))
     return {p: _verdict(p, fails[p], len(comp.ids), True) for p in TABLE2_PROPS}
 
 
@@ -397,7 +409,7 @@ def _congruence(comp: _Composer, partition: Partition) -> Verdict:
                 for b in cj:
                     checked += 1
                     d = comp.den(comp(ids[a], ids[b]))
-                    if d != dr:
+                    if d is not dr:
                         _keep(failures, lambda: Witness(
                             (comp.show(ids[a]), comp.show(ids[b]), comp.show(ri), comp.show(rj)),
                             "sm(op(ma,mb)) equals sm(op(rep_i,rep_j)) for all"

@@ -39,14 +39,15 @@ def _declared_pairs(models, cls: str) -> dict[str, str] | None:
 def _complete_shared(m1: Model, m2: Model, sources) -> Model:
     """The union, plus a completeness constraint for every class both models
     mention, listing the attribute types that the source models declare."""
-    out = list(union_merge(m1, m2).constraints)
+    present, second = m1.constraint_set, m2.constraint_set
+    out = [*m1.constraints, *(c for c in m2.constraints if c not in present)]
     for cls in m1.declared:
         pairs = _declared_pairs(sources, cls) if cls in m2.declared else None
         if pairs is None:
             continue  # not shared, or conflicting types: the union is already unsatisfiable
         # validated already: the pairs come from the sources' constraints
         cand = AttrComplete._trusted(cls, tuple(pairs.items()))
-        if cand not in out:
+        if cand not in present and cand not in second:  # cands differ by class
             out.append(cand)
     return Model(tuple(out))
 

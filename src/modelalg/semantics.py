@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 
 from .syntax import IDENT_RE, AttrComplete, AttrTyped, ClassExists, Constraint, Model
@@ -137,20 +138,19 @@ class System:
         return "; ".join(parts)
 
 
-def _check_names(u: Universe, constraints) -> None:
-    for c in constraints:
-        if c.cls not in u.class_pool:
-            raise UniverseError(f"class {c.cls!r} not in universe")
-        pairs = ()
-        if isinstance(c, AttrTyped):
-            pairs = ((c.attr, c.type),)
-        elif isinstance(c, AttrComplete):
-            pairs = c.attrs
-        for a, t in pairs:
-            if a not in u.attr_pool:
-                raise UniverseError(f"attribute {a!r} not in universe")
-            if t not in u.type_pool:
-                raise UniverseError(f"type {t!r} not in universe")
+def _check_names(u: Universe, c: Constraint) -> None:
+    if c.cls not in u.class_pool:
+        raise UniverseError(f"class {c.cls!r} not in universe")
+    pairs = ()
+    if isinstance(c, AttrTyped):
+        pairs = ((c.attr, c.type),)
+    elif isinstance(c, AttrComplete):
+        pairs = c.attrs
+    for a, t in pairs:
+        if a not in u.attr_pool:
+            raise UniverseError(f"attribute {a!r} not in universe")
+        if t not in u.type_pool:
+            raise UniverseError(f"type {t!r} not in universe")
 
 
 @dataclass(frozen=True)
@@ -176,21 +176,21 @@ class Denotation:
         full = self.universe.full_class_mask
         return all(m == full for m in self.class_masks)
 
-    @property
+    @cached_property
     def size(self) -> int:
         if self.is_empty:
             return 0
         return prod(m.bit_count() for m in self.class_masks)
 
     def issubset(self, other: "Denotation") -> bool:
-        if self.universe != other.universe:
+        if self.universe is not other.universe and self.universe != other.universe:
             raise UniverseError("denotations belong to different universes")
         if self.is_empty:
             return True
         return all(a & ~b == 0 for a, b in zip(self.class_masks, other.class_masks))
 
     def __and__(self, other: "Denotation") -> "Denotation":
-        if self.universe != other.universe:
+        if self.universe is not other.universe and self.universe != other.universe:
             raise UniverseError("denotations belong to different universes")
         return Denotation(self.universe, tuple(a & b for a, b in zip(self.class_masks, other.class_masks)))
 
@@ -219,6 +219,8 @@ def _constraint_mask(u: Universe, c: Constraint) -> tuple[int, int]:
     cached = u._con_cache.get(c)
     if cached is not None:
         return cached
+    # A cached constraint was validated against this universe when it was added.
+    _check_names(u, c)
     ci = u.class_index(c.cls)
     count = u.class_state_count
     radix = u.attr_state_radix
@@ -250,8 +252,6 @@ def denotation(m: Model, u: Universe) -> Denotation:
     key = frozenset(m.constraints)
     d = u._den_cache.get(key)
     if d is None:
-        # A cached key was validated against this universe when it was added.
-        _check_names(u, m.constraints)
         masks = [u.full_class_mask] * len(u.class_pool)
         for c in m.constraints:
             ci, cm = _constraint_mask(u, c)

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modelalg import (
     AttrComplete,
@@ -34,11 +37,13 @@ from modelalg.algebra import (
     TABLE1_PROPS,
     TABLE2_PROPS,
     Verdict,
+    Witness,
     _implication_audit,
     _show,
 )
 
 from .oracle import EnumOracle, parse_witness
+from .strategies import TINY_UNIVERSE, models
 
 SMALL_BOUNDS = CorpusBounds(("P",), ("n", "m"), ("S", "T"), include_complete=True)
 
@@ -308,6 +313,104 @@ def test_first_failures_kept_in_order():
     assert verdict.holds is False and verdict.checked == len(corpus.models) ** 2
     assert len(verdict.witnesses) == MAX_WITNESSES
     assert [w.models for w in verdict.witnesses] == [(_show(a), _show(b)) for a, b in failures[:10]]
+
+
+# --- canonical and lazy denotations -----------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(models, min_size=1, max_size=4), st.sampled_from(sorted(OPERATORS)))
+def test_composer_denotations_are_canonical(corpus_models, op):
+    u = TINY_UNIVERSE
+    comp = algebra._Composer(op, Corpus(tuple(corpus_models), "drawn"), u)
+    for a in comp.ids:
+        for b in comp.ids:
+            comp(a, b)
+    ids = range(len(comp.models))
+    for i in ids:
+        for j in ids:
+            same = denotation(comp.models[i], u) == denotation(comp.models[j], u)
+            assert (comp.den(i) is comp.den(j)) == same
+            meet = comp.meet(i, j)
+            assert meet == comp.den(i) & comp.den(j)
+            assert comp.meet(i, j) is meet
+            assert all((meet is comp.den(k)) == (meet == comp.den(k)) for k in ids)
+
+
+def test_associativity_denotes_nothing_where_the_ids_agree(monkeypatch):
+    corpus = default_corpus()
+    comp = algebra._Composer("union", corpus, build_universe(corpus.models))
+    algebra._check_pp(comp)  # denotes the corpus and its pairwise compositions
+    calls = []
+    real = algebra.denotation
+    monkeypatch.setattr(algebra, "denotation", lambda m, u: calls.append(m) or real(m, u))
+    verdicts = algebra._check_associativity(comp, 42)
+    assert verdicts["Ass"].holds and verdicts["Ass"].checked == 10_000
+    assert calls == []
+
+
+def _first(witnesses: list, make) -> None:
+    if len(witnesses) < MAX_WITNESSES:
+        witnesses.append(make())
+
+
+def _eager_associativity(comp, seed: int) -> dict:
+    """Ass and Ass_sm with both denotations of every triple computed and
+    compared structurally."""
+    ids, u = comp.ids, comp.u
+    n = len(ids)
+    exhaustive = n <= algebra.EXHAUSTIVE_TRIPLE_LIMIT
+    triples = itertools.product(range(n), repeat=3) if exhaustive else algebra._sample_triples(n, seed)
+    syn, sem = [], []
+    for i, j, k in triples:
+        a, b, c = ids[i], ids[j], ids[k]
+        left, right = comp(comp(a, b), c), comp(a, comp(b, c))
+        dl, dr = denotation(comp.models[left], u), denotation(comp.models[right], u)
+        shown = (comp.show(a), comp.show(b), comp.show(c))
+        if left != right:
+            _first(syn, lambda: Witness(
+                shown, "op(op(m1,m2),m3) syntactically equals op(m1,op(m2,m3))",
+                f"left={comp.show(left)}; right={comp.show(right)}"))
+        if dl != dr:
+            _first(sem, lambda: Witness(
+                shown, "sm(op(op(m1,m2),m3)) equals sm(op(m1,op(m2,m3)))",
+                f"|left|={dl.size}, |right|={dr.size}"))
+    checked = n**3 if exhaustive else algebra.TRIPLE_SAMPLES
+    return {p: Verdict(p, not w, tuple(w), exhaustive, checked) for p, w in (("Ass", syn), ("Ass_sm", sem))}
+
+
+def _eager_element(comp, e: int) -> dict:
+    """Table 2 for element e with every term's denotation computed up front
+    and compared structurally."""
+    fails = {p: [] for p in TABLE2_PROPS}
+    for i in comp.ids:
+        rm, lm = comp(i, e), comp(e, i)
+        terms = {"m1": i, "m": e, "op(m1,m)": rm, "op(m,m1)": lm,
+                 "op(op(m1,m),m)": comp(rm, e), "op(m,op(m,m1))": comp(e, lm)}
+        dens = {t: denotation(comp.models[x], comp.u) for t, x in terms.items()}
+        for prop, names, (a, b, c), shown, syn_relation, sem_relation in algebra._ELEMENT_ROWS:
+            if not terms[a] == terms[b] == terms[c]:
+                _first(fails[prop], lambda: Witness(
+                    (comp.show(i), comp.show(e)), syn_relation,
+                    "; ".join(f"{t}={comp.show(terms[t])}" for t in shown)))
+            if not dens[a] == dens[b] == dens[c]:
+                _first(fails[prop + "_comp"], lambda: Witness(
+                    (comp.show(i), comp.show(e)), sem_relation,
+                    ", ".join(f"|sm({t})|={dens[t].size}" for t in names)))
+    return {p: Verdict(p, not w, tuple(w), True, len(comp.ids)) for p, w in fails.items()}
+
+
+@pytest.mark.parametrize("op", ("strict", "paranoid"))
+@pytest.mark.parametrize("corpus", (default_corpus(), generate_corpus(SMALL_BOUNDS, max_models=50)),
+                         ids=("sampled", "exhaustive"))
+def test_lazy_checks_equal_eager_reference(op, corpus):
+    u = build_universe(corpus.models)
+    comp, eager = algebra._Composer(op, corpus, u), algebra._Composer(op, corpus, u)
+    verdicts = algebra._check_associativity(comp, 42)
+    assert verdicts == _eager_associativity(eager, 42)
+    assert not verdicts["Ass_sm"].holds
+    for e in comp.ids:
+        assert algebra._check_element(comp, e) == _eager_element(eager, e)
 
 
 # --- implication audit ------------------------------------------------------

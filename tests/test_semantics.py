@@ -192,6 +192,29 @@ def test_denotation_names_checked_on_every_call(constraint, message):
     assert denotation(PERSON, u).size == 3  # a valid model is still denoted
 
 
+def test_denotation_names_checked_after_a_cached_valid_constraint():
+    u = Universe(("Person", "X"), ("name",), ("String",))
+    assert denotation(PERSON, u).size == 3  # caches both of PERSON's constraints
+    m = Model(PERSON.constraints + (AttrTyped("Person", "age", "String"),))
+    for _ in range(2):
+        with pytest.raises(UniverseError, match="^attribute 'age' not in universe$"):
+            denotation(m, u)
+
+
+@pytest.mark.parametrize("order", ((0, 1, 2), (1, 0, 2), (2, 1, 0)))
+def test_denotation_error_names_first_invalid_constraint_in_model_order(order):
+    u = Universe(("Person", "X"), ("name",), ("String",))
+    denotation(PERSON, u)
+    invalid = {
+        0: (AttrTyped("Person", "age", "String"), "attribute 'age' not in universe"),
+        1: (ClassExists("Ghost"), "class 'Ghost' not in universe"),
+        2: (AttrComplete("X", (("name", "Int"),)), "type 'Int' not in universe"),
+    }
+    m = Model(PERSON.constraints + tuple(invalid[k][0] for k in order))
+    with pytest.raises(UniverseError, match=f"^{invalid[order[0]][1]}$"):
+        denotation(m, u)
+
+
 def test_classify_over_universe_missing_a_corpus_name():
     corpus = Corpus((PERSON, parse_strict("class Person { age: Int }")), "test")
     with pytest.raises(UniverseError, match="attribute 'age' not in universe"):
