@@ -140,10 +140,10 @@ class _Composer:
     interned once, by its constraints, to an int id, so two ids are equal
     exactly when their models are syntactically equal.  The corpus is interned
     on construction; `ids` holds its ids in corpus order.  Compositions are
-    memoized by id pair, and each id's denotation is computed once.  Denotations
-    are canonical: `den` and `meet` hand out one Denotation object per distinct
-    denotation, so the checks compare semantics by `is`, and compute none where
-    the ids already agree (equal ids denote the same set)."""
+    memoized by id pair, and each id's denotation is computed once.  `den` and
+    `meet` return the universe's canonical Denotation objects (one per distinct
+    denotation, see `semantics`), so the checks compare semantics by `is`, and
+    compute none where the ids already agree (equal ids denote the same set)."""
 
     def __init__(self, op: str | Operator, corpus: Corpus, u: Universe):
         self.op = get_operator(op) if isinstance(op, str) else op
@@ -151,7 +151,6 @@ class _Composer:
         self.by_constraints: dict = {}  # constraints -> id
         self.models: list[Model] = []  # id -> model
         self.dens: list = []  # id -> denotation, None until first needed
-        self.canon: dict = {}  # class masks -> the one Denotation with them
         self.meets: dict = {}  # (id, id) -> den(a) & den(b)
         self.texts: dict = {}  # id -> one-line source, for the ids a witness shows
         self.results: dict = {}  # (id, id) -> id of the composition
@@ -174,15 +173,13 @@ class _Composer:
     def den(self, i: int) -> Denotation:
         d = self.dens[i]
         if d is None:
-            d = denotation(self.models[i], self.u)
-            d = self.dens[i] = self.canon.setdefault(d.class_masks, d)
+            d = self.dens[i] = denotation(self.models[i], self.u)
         return d
 
     def meet(self, a: int, b: int) -> Denotation:
         d = self.meets.get((a, b))
         if d is None:
-            d = self.den(a) & self.den(b)
-            d = self.meets[a, b] = self.canon.setdefault(d.class_masks, d)
+            d = self.meets[a, b] = self.den(a) & self.den(b)
         return d
 
     def show(self, i: int) -> str:
@@ -443,12 +440,8 @@ def _implication_audit(table1: dict, table2) -> tuple[str, ...]:
 
 def classify(op_id: str, corpus: Corpus, u: Universe, seed: int = 42) -> OperatorReport:
     comp = _Composer(op_id, corpus, u)
-    table1: dict = {}
-    table1.update(_check_pp(comp))
-    table1["FPP"] = _check_fpp(comp)
-    table1["CP"] = _check_cp(comp)
-    table1.update(_check_commutativity(comp))
-    table1.update(_check_associativity(comp, seed))
+    table1 = {**_check_pp(comp), "FPP": _check_fpp(comp), "CP": _check_cp(comp),
+              **_check_commutativity(comp), **_check_associativity(comp, seed)}
     table1 = {p: table1[p] for p in TABLE1_PROPS}
 
     table2 = tuple((i, _check_element(comp, e)) for i, e in enumerate(comp.ids))

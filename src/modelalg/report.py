@@ -8,18 +8,9 @@ from .algebra import OperatorReport, Partition, StabilityReport, Verdict, _show
 from .syntax import render
 
 
-def _verdict_dict(v: Verdict) -> dict:
-    return {
-        "holds": v.holds,
-        "witnesses": [
-            {"models": list(w.models), "relation": w.relation, "observed": w.observed}
-            for w in v.witnesses
-        ],
-        "sampling": {"exhaustive": v.exhaustive, "checked": v.checked},
-    }
-
-
 def report_to_dict(r: OperatorReport) -> dict:
+    """The report as JSON-ready data, with each Verdict left as a leaf for
+    _write_json."""
     return {
         "operator": r.operator,
         "universe": {
@@ -33,20 +24,34 @@ def report_to_dict(r: OperatorReport) -> dict:
             "size": len(r.corpus.models),
             "models": [render(m) for m in r.corpus.models],
         },
-        "table1": {p: _verdict_dict(v) for p, v in r.table1.items()},
-        "table2": [
-            {"model": render(r.corpus.models[idx]), "props": {p: _verdict_dict(v) for p, v in props.items()}}
-            for idx, props in r.table2
-        ],
+        "table1": r.table1,
+        "table2": [{"model": render(r.corpus.models[idx]), "props": props} for idx, props in r.table2],
         "implication_audit": list(r.implication_audit),
         "theorems": r.theorems,
     }
 
 
+def _write_verdict(v: Verdict, out: list, newline: str) -> None:
+    """Append the json.dumps(..., indent=2) text of v at newline's depth in
+    pieces: a head, one per witness, and a tail."""
+    i1, i2, i3, i4 = (newline + "  " * k for k in range(1, 5))
+    out.append(f'{{{i1}"holds": {"true" if v.holds else "false"},{i1}"witnesses": ')
+    sep = "[" + i2
+    for w in v.witnesses:
+        models = f"[{i4}{f',{i4}'.join(map(encode_basestring_ascii, w.models))}{i3}]" if w.models else "[]"
+        relation, observed = encode_basestring_ascii(w.relation), encode_basestring_ascii(w.observed)
+        out.append(f'{sep}{{{i3}"models": {models},{i3}"relation": {relation},{i3}"observed": {observed}{i2}}}')
+        sep = "," + i2
+    close = i1 + "]" if v.witnesses else "[]"
+    exhaustive = "true" if v.exhaustive else "false"
+    checked = int.__repr__(v.checked)
+    out.append(f'{close},{i1}"sampling": {{{i2}"exhaustive": {exhaustive},{i2}"checked": {checked}{i1}}}{newline}}}')
+
+
 def _write_json(value, out: list, newline: str) -> None:
     """Append to out the pieces of json.dumps(value, indent=2), for values made
-    of dicts with str keys, lists, str, int, bool and None; newline is a line
-    break plus the indentation of value's level."""
+    of dicts with str keys, lists, str, int, bool, None and Verdicts; newline
+    is a line break plus the indentation of value's level."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None or isinstance(value, bool):
@@ -73,6 +78,8 @@ def _write_json(value, out: list, newline: str) -> None:
             _write_json(item, out, inner)
             sep = comma
         out.append(newline + "]" if value else "[]")
+    elif isinstance(value, Verdict):
+        _write_verdict(value, out, newline)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -10,7 +10,9 @@ product of per-class state sets.  Denotations are therefore stored factored
 (one bitset of per-class states per pool class), which keeps intersection,
 subset, equality, and cardinality exact even for universes far beyond the
 enumeration cap.  Listing a denotation's systems is only available below
-the cap.
+the cap.  A universe hands out one Denotation object per distinct
+denotation, so two denotations of a universe are equal exactly when they
+are the same object.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ class Universe:
     attr_pool: tuple[str, ...]
     type_pool: tuple[str, ...]
     cap: int | None = DEFAULT_CAP
-    _den_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _con_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _den_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _con_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "class_pool", tuple(self.class_pool))
@@ -58,21 +60,21 @@ class Universe:
         if self.cap is not None and self.system_count > self.cap:
             raise UniverseCapError(self.system_count, self.cap)
 
-    @property
+    @cached_property
     def attr_state_radix(self) -> int:
         # per attribute: absent, or one of the pool types
         return len(self.type_pool) + 1
 
-    @property
+    @cached_property
     def class_state_count(self) -> int:
         # per class: absent, or present with any attribute map
         return 1 + self.attr_state_radix ** len(self.attr_pool)
 
-    @property
+    @cached_property
     def system_count(self) -> int:
         return self.class_state_count ** len(self.class_pool)
 
-    @property
+    @cached_property
     def full_class_mask(self) -> int:
         return (1 << self.class_state_count) - 1
 
@@ -192,7 +194,7 @@ class Denotation:
     def __and__(self, other: "Denotation") -> "Denotation":
         if self.universe is not other.universe and self.universe != other.universe:
             raise UniverseError("denotations belong to different universes")
-        return Denotation(self.universe, tuple(a & b for a, b in zip(self.class_masks, other.class_masks)))
+        return _canonical(self.universe, [a & b for a, b in zip(self.class_masks, other.class_masks)])
 
     def _member_states(self):
         """Member state tuples in the canonical enumeration order."""
@@ -215,11 +217,8 @@ class Denotation:
 
 
 def _constraint_mask(u: Universe, c: Constraint) -> tuple[int, int]:
-    """(class index, bitset of allowed per-class states) for one constraint."""
-    cached = u._con_cache.get(c)
-    if cached is not None:
-        return cached
-    # A cached constraint was validated against this universe when it was added.
+    """(class index, bitset of allowed per-class states) for one constraint
+    not yet in u._con_cache; it is validated here and cached only if valid."""
     _check_names(u, c)
     ci = u.class_index(c.cls)
     count = u.class_state_count
@@ -247,17 +246,24 @@ def _constraint_mask(u: Universe, c: Constraint) -> tuple[int, int]:
     return result
 
 
-def denotation(m: Model, u: Universe) -> Denotation:
-    """The exact set of universe systems satisfying every constraint of m."""
-    key = frozenset(m.constraints)
+def _canonical(u: Universe, masks: list) -> Denotation:
+    """The universe's one Denotation with these class masks."""
+    key = (0,) * len(masks) if 0 in masks else tuple(masks)
     d = u._den_cache.get(key)
     if d is None:
-        masks = [u.full_class_mask] * len(u.class_pool)
-        for c in m.constraints:
-            ci, cm = _constraint_mask(u, c)
-            masks[ci] &= cm
-        d = u._den_cache[key] = Denotation(u, tuple(masks))
+        d = u._den_cache[key] = Denotation(u, key)
     return d
+
+
+def denotation(m: Model, u: Universe) -> Denotation:
+    """The exact set of universe systems satisfying every constraint of m, as
+    u's one Denotation object for that set."""
+    con_cache = u._con_cache
+    masks = [u.full_class_mask] * len(u.class_pool)
+    for c in m.constraints:
+        ci, cm = con_cache.get(c) or _constraint_mask(u, c)
+        masks[ci] &= cm
+    return _canonical(u, masks)
 
 
 def is_consistent(m: Model, u: Universe) -> bool:

@@ -109,7 +109,8 @@ class EnumOracle:
             want = u.type_pool.index(c.type) + 1
             table = self.present & (self.attr_digit[:, j] == want)
             return table[col]
-        assert isinstance(c, AttrComplete)
+        if not isinstance(c, AttrComplete):
+            raise TypeError(f"unknown constraint kind: {type(c).__name__}")
         digits = [0] * len(u.attr_pool)
         for a, t in c.attrs:
             digits[u.attr_pool.index(a)] = u.type_pool.index(t) + 1

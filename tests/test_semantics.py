@@ -1,11 +1,18 @@
+import copy
+import dataclasses
+import pickle
+from collections import namedtuple
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modelalg import (
     AttrComplete,
     AttrTyped,
     ClassExists,
     Corpus,
+    Denotation,
     Model,
     Universe,
     UniverseCapError,
@@ -23,7 +30,7 @@ from modelalg import (
 )
 
 from .oracle import EnumOracle, enumerate_systems, naive_denotation, satisfies, to_bitset
-from .strategies import PADDED_UNIVERSE, TINY_UNIVERSE, constraints, models
+from .strategies import ATTRS, CLASSES, PADDED_UNIVERSE, TINY_UNIVERSE, TYPES, constraints, models
 
 PERSON = parse_strict("class Person { name: String }")
 WORKED = Universe(("Person", "X"), ("name",), ("String",))
@@ -59,6 +66,24 @@ def test_cap_exceeded():
         Universe(tuple(f"C{i}" for i in range(10)), ("a", "b", "c"), ("S", "T"), cap=1 << 20)
     assert str(exc.value.system_count) in str(exc.value)
     assert str(exc.value.cap) in str(exc.value)
+
+
+def test_universe_pickle_and_replace_round_trip():
+    u = Universe(("Person", "X"), ("name", "age"), ("String",), cap=None)
+    derived = (u.attr_state_radix, u.class_state_count, u.system_count, u.full_class_mask)
+    assert derived == (2, 5, 25, 0b11111)
+    mine = denotation(PERSON, u)
+    for other in (pickle.loads(pickle.dumps(u)), copy.deepcopy(u), dataclasses.replace(u)):
+        assert other == u and hash(other) == hash(u) and repr(other) == repr(u)
+        assert (other.attr_state_radix, other.class_state_count, other.system_count, other.full_class_mask) == derived
+        theirs = denotation(PERSON, other)
+        assert theirs == mine and theirs is not mine and theirs.universe is other
+    assert repr(u) == "Universe(class_pool=('Person', 'X'), attr_pool=('name', 'age'), type_pool=('String',), cap=None)"
+    wider = dataclasses.replace(u, type_pool=("String", "Int"), cap=1 << 20)
+    assert wider != u
+    assert (wider.attr_state_radix, wider.class_state_count, wider.system_count) == (3, 10, 100)
+    with pytest.raises(UniverseCapError):
+        dataclasses.replace(u, cap=24)
 
 
 def test_duplicate_pool_name_rejected():
@@ -270,6 +295,82 @@ def test_denotations_of_different_universes_do_not_mix():
         mine.issubset(theirs)
     with pytest.raises(UniverseError):
         mine & theirs
+
+
+# --- canonical denotations -------------------------------------------------
+
+PERSON_NO_ATTRS = AttrComplete("Person", ())
+PERSON_NAME = AttrTyped("Person", "name", "String")
+
+
+@settings(max_examples=150)
+@given(models, models, st.randoms(use_true_random=False))
+@example(Model((PERSON_NO_ATTRS,)), Model((ClassExists("Person"), PERSON_NO_ATTRS)), None)
+@example(Model((PERSON_NO_ATTRS, PERSON_NAME)), Model((AttrComplete("Account", ()), AttrTyped("Account", "age", "Int"))), None)
+def test_one_denotation_object_per_set(m1, m2, rnd):
+    u = TINY_UNIVERSE
+    d1, d2 = denotation(m1, u), denotation(m2, u)
+    assert (d1 is d2) == (d1 == d2) == (naive_denotation(m1, u) == naive_denotation(m2, u))
+    if rnd is not None:
+        # the same constraints in another order, some of them twice
+        variant = list(m1.constraints) + rnd.sample(m1.constraints, rnd.randint(0, len(m1.constraints)))
+        rnd.shuffle(variant)
+        assert denotation(Model(tuple(variant)), u) is d1
+    if d1.is_empty:
+        assert d1 is denotation(Model((PERSON_NO_ATTRS, PERSON_NAME)), u)
+        assert d1.class_masks == (0,) * len(u.class_pool)
+
+
+@settings(max_examples=150)
+@given(models, models)
+def test_meet_is_the_canonical_structural_meet(m1, m2):
+    u = TINY_UNIVERSE
+    d1, d2 = denotation(m1, u), denotation(m2, u)
+    meet = d1 & d2
+    assert meet == Denotation(u, tuple(a & b for a, b in zip(d1.class_masks, d2.class_masks)))
+    assert set(meet.indices()) == naive_denotation(m1, u) & naive_denotation(m2, u)
+    assert meet is denotation(Model(m1.constraints + m2.constraints), u)
+    assert (d2 & d1) is meet and (meet & d1) is meet
+
+
+def test_every_empty_denotation_is_one_object():
+    u = Universe(CLASSES, ATTRS, TYPES)
+    person_only = denotation(Model((PERSON_NO_ATTRS,)), u)
+    named = denotation(Model((PERSON_NAME,)), u)
+    account_clash = Model((AttrTyped("Account", "age", "Int"), AttrComplete("Account", (("age", "String"),))))
+    empties = [
+        person_only & named,
+        named & person_only,
+        denotation(Model((PERSON_NAME, PERSON_NO_ATTRS)), u),
+        denotation(account_clash, u),
+        denotation(Model((PERSON_NO_ATTRS, PERSON_NAME) + account_clash.constraints), u),
+        denotation(account_clash, u) & denotation(Model(()), u),
+    ]
+    assert all(d is empties[0] for d in empties)
+    assert empties[0].is_empty and empties[0].size == 0
+    assert not person_only.is_empty and not named.is_empty
+
+
+@settings(max_examples=50)
+@given(models, models)
+def test_equal_universes_never_share_denotations(m1, m2):
+    u1 = Universe(CLASSES, ATTRS, TYPES)
+    u2 = Universe(CLASSES, ATTRS, TYPES)
+    assert u1 == u2 and u1 is not u2
+    for m in (m1, m2):
+        d1, d2 = denotation(m, u1), denotation(m, u2)
+        assert d1 == d2 and d1 is not d2
+        assert d1.universe is u1 and d2.universe is u2
+        assert (d1 & d2) is d1 and (d2 & d1) is d2
+    meet1 = denotation(m1, u1) & denotation(m2, u1)
+    meet2 = denotation(m1, u2) & denotation(m2, u2)
+    assert meet1 == meet2 and meet1 is not meet2 and meet2.universe is u2
+
+
+def test_enum_oracle_rejects_an_unknown_constraint_kind():
+    unknown = namedtuple("Unknown", "cls")("Person")
+    with pytest.raises(TypeError, match="unknown constraint kind: Unknown"):
+        EnumOracle(TINY_UNIVERSE).den(Model((unknown,)))
 
 
 def test_semantically_eq_order_insensitive():
