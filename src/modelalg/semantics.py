@@ -21,11 +21,14 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import prod
+from math import log10, prod
 
 from .syntax import IDENT_RE, AttrComplete, AttrTyped, ClassExists, Constraint, Model
 
 DEFAULT_CAP = 1 << 20
+# counts up to this many digits are written out in full; CPython's default
+# limit on int-to-str conversion is the same
+EXACT_DIGITS = 4300
 
 
 class UniverseError(ValueError):
@@ -33,10 +36,28 @@ class UniverseError(ValueError):
 
 
 class UniverseCapError(UniverseError):
-    def __init__(self, system_count: int, cap: int):
-        self.system_count = system_count
+    """The universe's system count exceeds the cap; `system_count` is
+    computed only when asked for, since it may have millions of digits."""
+
+    def __init__(self, universe: "Universe", cap: int):
+        self.universe = universe
         self.cap = cap
-        super().__init__(f"universe has {system_count} systems, exceeding the cap of {cap}")
+        super().__init__(f"universe has {universe.count_text()} systems, exceeding the cap of {cap}")
+
+    @property
+    def system_count(self) -> int:
+        return self.universe.system_count
+
+
+def _bounded_pow(base: int, exp: int, bound: int) -> int | None:
+    """base ** exp for base >= 2, or None once a partial product exceeds
+    bound, so no number much larger than bound is built."""
+    result = 1
+    for _ in range(exp):
+        result *= base
+        if result > bound:
+            return None
+    return result
 
 
 @dataclass(frozen=True)
@@ -57,8 +78,8 @@ class Universe:
                 raise UniverseError(f"empty {kind} pool")
             if len(set(pool)) != len(pool):
                 raise UniverseError(f"duplicate names in {kind} pool: {pool}")
-        if self.cap is not None and self.system_count > self.cap:
-            raise UniverseCapError(self.system_count, self.cap)
+        if self.cap is not None and self.count_at_most(self.cap) is None:
+            raise UniverseCapError(self, self.cap)
 
     @cached_property
     def attr_state_radix(self) -> int:
@@ -73,6 +94,18 @@ class Universe:
     @cached_property
     def system_count(self) -> int:
         return self.class_state_count ** len(self.class_pool)
+
+    def count_at_most(self, bound: int) -> int | None:
+        """system_count if it is at most bound, else None."""
+        states = _bounded_pow(self.attr_state_radix, len(self.attr_pool), bound)
+        return None if states is None else _bounded_pow(1 + states, len(self.class_pool), bound)
+
+    def count_text(self) -> str:
+        """system_count in decimal, or "about 10^N" beyond EXACT_DIGITS digits."""
+        count = self.count_at_most(10**EXACT_DIGITS - 1)
+        if count is None:
+            return f"about 10^{int(len(self.class_pool) * log10(self.class_state_count))}"
+        return str(count)
 
     @cached_property
     def full_class_mask(self) -> int:
@@ -108,8 +141,8 @@ class Universe:
 
 def _enumeration_guard(u: Universe) -> None:
     limit = u.cap if u.cap is not None else DEFAULT_CAP
-    if u.system_count > limit:
-        raise UniverseCapError(u.system_count, limit)
+    if u.count_at_most(limit) is None:
+        raise UniverseCapError(u, limit)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -95,6 +96,21 @@ def test_sm_cap_exceeded_exits_3(files, capsys):
     code, _, err = run(capsys, "sm", files / "name.mcd", "--universe", files / "huge.json")
     assert code == 3
     assert "exceeding the cap" in err
+
+
+@pytest.mark.parametrize("padding", ["100,100,100", "1000,1000,1000", "3000,3000,3000"])
+@pytest.mark.parametrize("command", [
+    ("sm", "name.mcd"), ("check", "consistent", "name.mcd"), ("classify", "--operator", "union"), ("quotient",),
+])
+def test_astronomical_universe_refused_quickly(files, capsys, command, padding):
+    argv = [files / a if a.endswith(".mcd") else a for a in command]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--padding", padding)
+    elapsed = time.perf_counter() - start
+    assert code == 3 and out == ""
+    assert err.startswith("error: universe has about 10^") and err.endswith(" systems, exceeding the cap of 1048576\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert elapsed < 2
 
 
 def test_check_refines(files, capsys):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import time
 from collections import namedtuple
 
 import pytest
@@ -28,6 +29,7 @@ from modelalg import (
     semantically_eq,
     universe_from_spec,
 )
+from modelalg.semantics import EXACT_DIGITS
 
 from .oracle import EnumOracle, enumerate_systems, naive_denotation, satisfies, to_bitset
 from .strategies import ATTRS, CLASSES, PADDED_UNIVERSE, TINY_UNIVERSE, TYPES, constraints, models
@@ -66,6 +68,43 @@ def test_cap_exceeded():
         Universe(tuple(f"C{i}" for i in range(10)), ("a", "b", "c"), ("S", "T"), cap=1 << 20)
     assert str(exc.value.system_count) in str(exc.value)
     assert str(exc.value.cap) in str(exc.value)
+
+
+def test_cap_compares_exactly_at_the_boundary():
+    u = Universe(("A", "B"), ("x",), ("S",), cap=None)
+    assert u.system_count == 9
+    assert u.count_at_most(9) == 9 and u.count_at_most(8) is None
+    assert Universe(("A", "B"), ("x",), ("S",), cap=9).system_count == 9
+    with pytest.raises(UniverseCapError) as exc:
+        Universe(("A", "B"), ("x",), ("S",), cap=8)
+    assert str(exc.value) == "universe has 9 systems, exceeding the cap of 8"
+
+
+def _pools(classes, attrs, types):
+    return (tuple(f"C{i}" for i in range(classes)), tuple(f"a{i}" for i in range(attrs)),
+            tuple(f"T{i}" for i in range(types)))
+
+
+@pytest.mark.parametrize("classes, attrs", [(1, 14280), (1, 14290), (2, 7140), (2, 7145), (3, 40)])
+def test_count_text_exact_up_to_its_digit_limit(classes, attrs):
+    # one type: 1 + 2**attrs states per class, about 0.301 * attrs * classes digits
+    u = Universe(*_pools(classes, attrs, 1), cap=None)
+    count = u.system_count
+    assert count == (1 + 2**attrs) ** classes
+    if count < 10**EXACT_DIGITS:
+        assert u.count_text() == str(count)
+    else:
+        n = u.count_text().removeprefix("about 10^")
+        assert 10 ** int(n) <= count < 10 ** (int(n) + 1)
+
+
+def test_astronomical_cap_refusal_builds_no_huge_count():
+    start = time.perf_counter()
+    with pytest.raises(UniverseCapError) as exc:
+        Universe(*_pools(3000, 3000, 3000))
+    assert time.perf_counter() - start < 2
+    assert str(exc.value) == "universe has about 10^31295393 systems, exceeding the cap of 1048576"
+    assert "system_count" not in vars(exc.value.universe)
 
 
 def test_universe_pickle_and_replace_round_trip():
