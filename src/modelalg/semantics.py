@@ -35,20 +35,6 @@ class UniverseError(ValueError):
     pass
 
 
-class UniverseCapError(UniverseError):
-    """The universe's system count exceeds the cap; `system_count` is
-    computed only when asked for, since it may have millions of digits."""
-
-    def __init__(self, universe: "Universe", cap: int):
-        self.universe = universe
-        self.cap = cap
-        super().__init__(f"universe has {universe.count_text()} systems, exceeding the cap of {cap}")
-
-    @property
-    def system_count(self) -> int:
-        return self.universe.system_count
-
-
 def _bounded_pow(base: int, exp: int, bound: int) -> int | None:
     """base ** exp for base >= 2, or None once a partial product exceeds
     bound, so no number much larger than bound is built."""
@@ -58,6 +44,40 @@ def _bounded_pow(base: int, exp: int, bound: int) -> int | None:
         if result > bound:
             return None
     return result
+
+
+def _count_at_most(classes: int, attrs: int, types: int, bound: int) -> int | None:
+    """The system count of nonempty pools of these sizes if it is at most
+    bound, else None."""
+    states = _bounded_pow(types + 1, attrs, bound)
+    return None if states is None else _bounded_pow(1 + states, classes, bound)
+
+
+def _count_text(classes: int, attrs: int, types: int) -> str:
+    """The system count of nonempty pools of these sizes in decimal, or
+    "about 10^N" beyond EXACT_DIGITS digits."""
+    count = _count_at_most(classes, attrs, types, 10**EXACT_DIGITS - 1)
+    if count is None:
+        return f"about 10^{int(classes * log10(1 + (types + 1) ** attrs))}"
+    return str(count)
+
+
+class UniverseCapError(UniverseError):
+    """The system count of pools of the given (class, attribute, type) sizes
+    exceeds the cap.  `universe` is None when `build_universe` refused before
+    building the pools.  `system_count` is computed only when asked for,
+    since it may have millions of digits."""
+
+    def __init__(self, sizes: tuple[int, int, int], cap: int, universe: "Universe | None" = None):
+        self.sizes = sizes
+        self.cap = cap
+        self.universe = universe
+        super().__init__(f"universe has {_count_text(*sizes)} systems, exceeding the cap of {cap}")
+
+    @property
+    def system_count(self) -> int:
+        classes, attrs, types = self.sizes
+        return (1 + (types + 1) ** attrs) ** classes
 
 
 @dataclass(frozen=True)
@@ -79,7 +99,11 @@ class Universe:
             if len(set(pool)) != len(pool):
                 raise UniverseError(f"duplicate names in {kind} pool: {pool}")
         if self.cap is not None and self.count_at_most(self.cap) is None:
-            raise UniverseCapError(self, self.cap)
+            raise UniverseCapError(self.sizes, self.cap, self)
+
+    @property
+    def sizes(self) -> tuple[int, int, int]:
+        return len(self.class_pool), len(self.attr_pool), len(self.type_pool)
 
     @cached_property
     def attr_state_radix(self) -> int:
@@ -97,15 +121,11 @@ class Universe:
 
     def count_at_most(self, bound: int) -> int | None:
         """system_count if it is at most bound, else None."""
-        states = _bounded_pow(self.attr_state_radix, len(self.attr_pool), bound)
-        return None if states is None else _bounded_pow(1 + states, len(self.class_pool), bound)
+        return _count_at_most(*self.sizes, bound)
 
     def count_text(self) -> str:
         """system_count in decimal, or "about 10^N" beyond EXACT_DIGITS digits."""
-        count = self.count_at_most(10**EXACT_DIGITS - 1)
-        if count is None:
-            return f"about 10^{int(len(self.class_pool) * log10(self.class_state_count))}"
-        return str(count)
+        return _count_text(*self.sizes)
 
     @cached_property
     def full_class_mask(self) -> int:
@@ -142,7 +162,7 @@ class Universe:
 def _enumeration_guard(u: Universe) -> None:
     limit = u.cap if u.cap is not None else DEFAULT_CAP
     if u.count_at_most(limit) is None:
-        raise UniverseCapError(u, limit)
+        raise UniverseCapError(u.sizes, limit, u)
 
 
 @dataclass(frozen=True)
@@ -344,6 +364,12 @@ def build_universe(
                 for a, t in c.attrs:
                     add(attrs, a)
                     add(types, t)
+    # fresh names start with "_", so they cannot repeat a parsed name, and the
+    # pool sizes alone decide the cap before any fresh name is built; an
+    # empty pool is left for Universe to report
+    sizes = (len(classes) + fresh_classes, len(attrs) + fresh_attrs, len(types) + fresh_types)
+    if cap is not None and min(sizes) and _count_at_most(*sizes, cap) is None:
+        raise UniverseCapError(sizes, cap)
     classes += [f"_C{i}" for i in range(1, fresh_classes + 1)]
     attrs += [f"_a{i}" for i in range(1, fresh_attrs + 1)]
     types += [f"_T{i}" for i in range(1, fresh_types + 1)]

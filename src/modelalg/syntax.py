@@ -12,7 +12,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
-IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+IDENT_RE = re.compile(_NAME + r"\Z")
 
 
 def _check_ident(name: str, what: str) -> None:
@@ -163,7 +164,8 @@ _Token = namedtuple("_Token", "kind text line col")
 
 
 _PUNCT = {"{": "LBRACE", "}": "RBRACE", ":": "COLON", ",": "COMMA"}
-_LEX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[{}:,]|//[^\n]*|[ \t\r]+|\n|.")
+# the last alternative captures any other single character
+_LEX_RE = re.compile(_NAME + r"|[{}:,]|//[^\n]*|[ \t\r]+|\n|(.)")
 
 
 def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
@@ -180,27 +182,62 @@ def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
         col += len(tok)
         if tok.isspace() or tok.startswith("//"):
             continue
-        if tok in _PUNCT:
+        if match.lastindex:
+            diags.append(Diagnostic("error", f"unexpected character {tok!r}", tline, tcol))
+        elif tok in _PUNCT:
             tokens.append(_Token(_PUNCT[tok], tok, tline, tcol))
         elif tok in _KEYWORDS:
             tokens.append(_Token("KW_" + tok.upper(), tok, tline, tcol))
-        elif IDENT_RE.match(tok):
-            tokens.append(_Token("IDENT", tok, tline, tcol))
         else:
-            diags.append(Diagnostic("error", f"unexpected character {tok!r}", tline, tcol))
+            tokens.append(_Token("IDENT", tok, tline, tcol))
     tokens.append(_Token("EOF", "", line, col))
     return tokens, diags
 
 
 # --- parser ----------------------------------------------------------------
 
+# One declaration of a well-formed text, after the blanks and comments that
+# lead up to it, or else the blanks and comments that end the text.  The
+# pattern accepts exactly what the token parser accepts without an error,
+# except that it lets a repeated attribute through, which `parse` checks.
+# Blanks are the characters `str.isspace` accepts, as in `_lex`; a comment
+# must run to the end of its line, so that backtracking cannot end it early
+# and read the rest of the line as source.
+_SEP = r"(?:\s|//[^\n]*(?![^\n]))"
+_IDENT = rf"(?!(?:{'|'.join(sorted(_KEYWORDS))})(?![A-Za-z0-9_])){_NAME}"
+_PAIR = rf"{_IDENT}{_SEP}*:{_SEP}*{_IDENT}"
+_DECL_RE = re.compile(
+    rf"{_SEP}*(?:(?:(complete){_SEP}+)?class{_SEP}+({_IDENT}){_SEP}*"
+    rf"\{{({_SEP}*(?:{_PAIR}{_SEP}*(?:,{_SEP}*{_PAIR}{_SEP}*)*)?)\}}|\Z)"
+)
+# the (attribute, type) pairs of a matched body; a comment yields ("", "")
+_PAIRS_RE = re.compile(rf"//[^\n]*|({_NAME}){_SEP}*:{_SEP}*({_NAME})")
+
 
 def parse(text: str) -> tuple[Model | None, list[Diagnostic]]:
     """Parse source text; returns (model, diagnostics).  The model is None
     exactly when an error diagnostic was produced.
 
-    Each declaration expands to constraints as `expand` says.
+    Each declaration expands to constraints as `expand` says.  A well-formed
+    text is matched one declaration at a time; any other text goes to the
+    token parser, which alone reports diagnostics and recovers from errors.
     """
+    decls: list[_Decl] = []
+    pos = 0
+    while m := _DECL_RE.match(text, pos):
+        complete, cls, body = m.groups()
+        if cls is None:
+            return Model(expand(decls)), []
+        attrs = tuple(pair for pair in _PAIRS_RE.findall(body) if pair[0])
+        if len(dict(attrs)) != len(attrs):
+            break
+        decls.append(_Decl(cls, attrs, complete is not None))
+        pos = m.end()
+    return _parse_tokens(text)
+
+
+def _parse_tokens(text: str) -> tuple[Model | None, list[Diagnostic]]:
+    """`parse` by lexing and walking the tokens, with diagnostics."""
     tokens, diags = _lex(text)
     decls: list[_Decl] = []
     i = 0
@@ -220,7 +257,8 @@ def parse(text: str) -> tuple[Model | None, list[Diagnostic]]:
             i += 1
         if tokens[i].kind != "KW_CLASS":
             err(f"expected 'class', found {tokens[i].text!r}", tokens[i])
-            i += 1
+            if tokens[i].kind != "EOF":  # a trailing 'complete' leaves only EOF
+                i += 1
             recover()
             continue
         i += 1

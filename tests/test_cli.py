@@ -54,6 +54,13 @@ def test_compose_malformed_input(files, capsys):
     assert "error:" in err and " at 1:" in err
 
 
+def test_trailing_complete_exits_2(files, capsys):
+    (files / "trailing.mcd").write_text("class P { }\ncomplete\n")
+    code, out, err = run(capsys, "sm", files / "trailing.mcd")
+    assert (code, out) == (2, "")
+    assert err == f"{files / 'trailing.mcd'}: error: expected 'class', found '' at 3:1\n"
+
+
 def test_compose_missing_file(files, capsys):
     code, _, err = run(capsys, "compose", "--operator", "union", files / "nope.mcd", files / "name.mcd")
     assert code == 2
@@ -98,7 +105,7 @@ def test_sm_cap_exceeded_exits_3(files, capsys):
     assert "exceeding the cap" in err
 
 
-@pytest.mark.parametrize("padding", ["100,100,100", "1000,1000,1000", "3000,3000,3000"])
+@pytest.mark.parametrize("padding", ["100,100,100", "1000,1000,1000", "3000,3000,3000", "5000000,0,0", "0,5000000,0"])
 @pytest.mark.parametrize("command", [
     ("sm", "name.mcd"), ("check", "consistent", "name.mcd"), ("classify", "--operator", "union"), ("quotient",),
 ])

@@ -1,8 +1,10 @@
 import copy
 import pickle
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from modelalg import (
     AttrComplete,
@@ -15,6 +17,7 @@ from modelalg import (
     parse_strict,
     render,
     syntactic_eq,
+    syntax,
 )
 
 from .strategies import constraints, models
@@ -188,3 +191,54 @@ def test_normalize_idempotent(m):
 def test_parse_deterministic(m):
     text = render(m)
     assert parse_strict(text) == parse_strict(text)
+
+
+def _one_pass(text):
+    """What parse returns for text from its one-pass match, or None where
+    the match declines and parse hands text to the token parser."""
+    with mock.patch.object(syntax, "_parse_tokens", return_value=None):
+        return parse(text)
+
+
+SOUP = ("class", "complete", "P", "a", "T", "x_1", "classes", "{", "}", ":", ",", "//", "/",
+        " ", "\n", "\r", "\t", "\x0b", "\x85", "\u2028", "\ufeff", "@", "1", "\xe9")
+
+
+@given(st.lists(st.sampled_from(SOUP)).map("".join))
+@example("// class P { } class\nQ { }")
+@example("class P { a: T, a: T }")
+@example("class P { a: T, }")
+@example("completeclass P { }")
+@example("class class { }")
+@example("class P { a: complete }")
+def test_one_pass_parse_agrees_with_the_token_parser(text):
+    fast = _one_pass(text)
+    if fast is not None:
+        assert fast == syntax._parse_tokens(text) and fast[0] is not None
+
+
+BLANKS = st.lists(st.sampled_from(("\n", " ", "\t", "\r", "\x0b", "\x85", "\u2028", "// P { a: T, }\n", "//\r\n")),
+                  min_size=1, max_size=3).map("".join)
+
+
+@given(models, st.data())
+def test_one_pass_parse_accepts_every_well_formed_text(m, data):
+    words = render(m).replace("complete class", "complete\nclass").split(" ")
+    text = data.draw(BLANKS) + "".join(word + data.draw(BLANKS) for word in words)
+    assert _one_pass(text) == (normalize(m), [])
+
+
+def test_one_pass_parse_accepts_names_that_start_with_a_keyword():
+    text = "complete class classes{completed:class_}//c"
+    assert _one_pass(text) == (Model(syntax.expand([("classes", (("completed", "class_"),), True)])), [])
+
+
+@given(st.text(st.characters(exclude_categories=())))
+@example("complete")
+@example("class P { }\ncomplete // c")
+def test_parse_never_raises_and_its_diagnostics_point_into_the_text(text):
+    model, diags = parse(text)
+    assert (model is None) == any(d.severity == "error" for d in diags)
+    lines = text.split("\n")
+    for d in diags:
+        assert 1 <= d.line <= len(lines) and 1 <= d.col <= len(lines[d.line - 1]) + 1
