@@ -23,6 +23,7 @@ from .syntax import (
     AttrTyped,
     ClassExists,
     Model,
+    _check_ident,
     expand,
     render,
 )
@@ -476,6 +477,13 @@ class CorpusBounds:
     attr_names: tuple[str, ...]
     type_names: tuple[str, ...]
     include_complete: bool = False
+
+    def __post_init__(self):  # generated models are expanded from these names without validation
+        for what, names in (("class", self.class_names), ("attribute", self.attr_names), ("type", self.type_names)):
+            for i, name in enumerate(names):
+                _check_ident(name, what)
+                if what == "attribute" and self.include_complete and name in names[:i]:
+                    raise ValueError(f"duplicate attribute {name!r} in completeness constraint")
 
 
 DEFAULT_BOUNDS = CorpusBounds(

@@ -7,6 +7,7 @@ Exit codes: 0 success (verdicts are data, not failures), 2 input error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -46,9 +47,12 @@ def _padding(text: str) -> tuple[int, int, int]:
     return c, a, t
 
 
-def _load_model(path: str):
+def _load_model(path: str, listed: bool = False):
+    """The model in the file, read as UTF-8 with universal newlines.  A path
+    from the command line goes through Path, so that 'm.mcd/' names m.mcd."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path if listed else Path(path), "rb") as f:
+            text = f.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", 2) from exc
     except UnicodeDecodeError as exc:
@@ -77,10 +81,14 @@ def _load_corpus(args) -> algebra.Corpus:
     directory = Path(args.corpus)
     if not directory.is_dir():
         raise CliError(f"corpus directory not found: {directory}", 2)
-    paths = sorted(directory.glob("*.mcd"))
-    if not paths:
+    try:  # the names and order of sorted(directory.glob("*.mcd"))
+        names = sorted(n for n in os.listdir(directory) if n.endswith(".mcd"))
+    except OSError:
+        names = []
+    if not names:
         raise CliError(f"no .mcd files in {directory}", 2)
-    models = tuple(_load_model(str(p)) for p in paths)
+    prefix = str(directory / "_")[:-1]  # so that prefix + name == str(directory / name)
+    models = tuple(_load_model(prefix + n, listed=True) for n in names)
     return algebra.Corpus(models, f"files({directory})")
 
 

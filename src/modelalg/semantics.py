@@ -56,10 +56,14 @@ def _count_at_most(classes: int, attrs: int, types: int, bound: int) -> int | No
 def _count_text(classes: int, attrs: int, types: int) -> str:
     """The system count of nonempty pools of these sizes in decimal, or
     "about 10^N" beyond EXACT_DIGITS digits."""
-    count = _count_at_most(classes, attrs, types, 10**EXACT_DIGITS - 1)
-    if count is None:
-        return f"about 10^{int(classes * log10(1 + (types + 1) ** attrs))}"
-    return str(count)
+    bound = 10**EXACT_DIGITS - 1
+    states = _bounded_pow(types + 1, attrs, bound)
+    count = None if states is None else _bounded_pow(1 + states, classes, bound)
+    if count is not None:
+        return str(count)
+    # past the bound, 1 + states and states differ below a float's precision
+    per_class = attrs * log10(types + 1) if states is None else log10(1 + states)
+    return f"about 10^{int(classes * per_class)}"
 
 
 class UniverseCapError(UniverseError):
@@ -365,10 +369,12 @@ def build_universe(
                     add(attrs, a)
                     add(types, t)
     # fresh names start with "_", so they cannot repeat a parsed name, and the
-    # pool sizes alone decide the cap before any fresh name is built; an
-    # empty pool is left for Universe to report
+    # pool sizes alone decide an empty pool, as Universe reports it, and the
+    # cap before any fresh name is built
     sizes = (len(classes) + fresh_classes, len(attrs) + fresh_attrs, len(types) + fresh_types)
-    if cap is not None and min(sizes) and _count_at_most(*sizes, cap) is None:
+    if 0 in sizes:
+        raise UniverseError(f"empty {('class', 'attribute', 'type')[sizes.index(0)]} pool")
+    if cap is not None and _count_at_most(*sizes, cap) is None:
         raise UniverseCapError(sizes, cap)
     classes += [f"_C{i}" for i in range(1, fresh_classes + 1)]
     attrs += [f"_a{i}" for i in range(1, fresh_attrs + 1)]

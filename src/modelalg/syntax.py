@@ -144,13 +144,15 @@ _Decl = namedtuple("_Decl", "cls attrs complete")
 def expand(decls) -> tuple[Constraint, ...]:
     """The constraints that (class, attribute pairs, complete) declarations
     stand for: ClassExists, one AttrTyped per pair in written order, and a
-    trailing AttrComplete for a complete declaration."""
+    trailing AttrComplete for a complete declaration.  Built without validation:
+    names must be identifiers, pairs a tuple of (attribute, type) tuples, and
+    a complete declaration must not repeat an attribute."""
     out: list[Constraint] = []
     for cls, attrs, complete in decls:
-        out.append(ClassExists(cls))
-        out.extend(AttrTyped(cls, a, t) for a, t in attrs)
+        out.append(tuple.__new__(ClassExists, (cls,)))
+        out.extend(tuple.__new__(AttrTyped, (cls, a, t)) for a, t in attrs)
         if complete:
-            out.append(AttrComplete(cls, attrs))
+            out.append(AttrComplete._trusted(cls, attrs))
     return tuple(out)
 
 
@@ -273,7 +275,7 @@ def _parse_tokens(text: str) -> tuple[Model | None, list[Diagnostic]]:
             recover()
             continue
         i += 1
-        attrs: list[tuple[str, str]] = []
+        attrs: dict[str, str] = {}
         decl_ok = True
         if tokens[i].kind == "IDENT":
             while True:
@@ -295,11 +297,11 @@ def _parse_tokens(text: str) -> tuple[Model | None, list[Diagnostic]]:
                     break
                 typ = tokens[i].text
                 i += 1
-                if any(a == attr for a, _ in attrs):
+                if attr in attrs:
                     err(f"duplicate attribute {attr!r} in declaration of {cls!r}", attr_tok)
                     decl_ok = False
                 else:
-                    attrs.append((attr, typ))
+                    attrs[attr] = typ
                 if tokens[i].kind == "COMMA":
                     i += 1
                     continue
@@ -312,7 +314,7 @@ def _parse_tokens(text: str) -> tuple[Model | None, list[Diagnostic]]:
             recover()
             continue
         i += 1
-        decls.append(_Decl(cls, tuple(attrs), complete))
+        decls.append(_Decl(cls, tuple(attrs.items()), complete))
 
     if any(d.severity == "error" for d in diags):
         return None, diags

@@ -1,8 +1,15 @@
+import argparse
 import json
+import os
 import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from modelalg import Model, cli
 from modelalg.cli import main
 
 PERSON_NAME = "class Person { name: String }\n"
@@ -105,7 +112,15 @@ def test_sm_cap_exceeded_exits_3(files, capsys):
     assert "exceeding the cap" in err
 
 
-@pytest.mark.parametrize("padding", ["100,100,100", "1000,1000,1000", "3000,3000,3000", "5000000,0,0", "0,5000000,0"])
+# the N of each refusal's "about 10^N", int(classes * log10(1 + (types + 1) ** attrs)),
+# for the pools of name.mcd and of the default corpus
+REFUSED_EXPONENT = {
+    "100,100,100": (20489, 20941), "1000,1000,1000": (3006872, 3013318), "3000,3000,3000": (31317564, 31339742),
+    "5000000,0,0": (2385606, 5000002), "0,5000000,0": (1505150, 4771214), "0,100000000,0": (30102999, 95424252),
+}
+
+
+@pytest.mark.parametrize("padding", list(REFUSED_EXPONENT))
 @pytest.mark.parametrize("command", [
     ("sm", "name.mcd"), ("check", "consistent", "name.mcd"), ("classify", "--operator", "union"), ("quotient",),
 ])
@@ -114,10 +129,16 @@ def test_astronomical_universe_refused_quickly(files, capsys, command, padding):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv, "--padding", padding)
     elapsed = time.perf_counter() - start
-    assert code == 3 and out == ""
-    assert err.startswith("error: universe has about 10^") and err.endswith(" systems, exceeding the cap of 1048576\n")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    n = REFUSED_EXPONENT[padding][command[0] in ("classify", "quotient")]
+    assert (code, out, err) == (3, "", f"error: universe has about 10^{n} systems, exceeding the cap of 1048576\n")
     assert elapsed < 2
+
+
+def test_empty_pool_refused_quickly(files, capsys):
+    (files / "p.mcd").write_text("class P { }\n")
+    start = time.perf_counter()
+    assert run(capsys, "sm", files / "p.mcd", "--padding", "0,0,3000000") == (2, "", "error: empty attribute pool\n")
+    assert time.perf_counter() - start < 2
 
 
 def test_check_refines(files, capsys):
@@ -333,3 +354,86 @@ def test_stability_small(files, capsys):
 def test_unknown_operator_rejected(files, capsys):
     with pytest.raises(SystemExit):
         main(["compose", "--operator", "mystery", str(files / "name.mcd"), str(files / "age.mcd")])
+
+
+# --- reading model files -----------------------------------------------------
+
+BYTE_PIECES = (b"\r", b"\n", b"\r\n", b"\r\r\n", b"\xef\xbb\xbf", b"\x00", b"\xe9", b"\xc3\xa9", b"\xff",
+               b"\xe2\x80\xa8", b"class P { a: T }", b" ")
+
+
+@given(st.one_of(st.binary(), st.lists(st.sampled_from(BYTE_PIECES)).map(b"".join)), st.booleans())
+@example(b"class P { }\r\nclass Q { }\r\r\n\r", False)
+@example(b"\xef\xbb\xbfclass P { }\x00\n", True)
+@example(b"class P {\r\xe9 }", False)
+def test_model_files_read_as_read_text_reads_them(tmp_path_factory, data, listed):
+    path = tmp_path_factory.getbasetemp() / "read.mcd"
+    path.write_bytes(data)
+    try:
+        expected = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        expected = f"{path}: {exc}"
+    with mock.patch.object(cli, "parse_strict", lambda text: text):  # return the text read
+        try:
+            got = cli._load_model(str(path), listed=listed)
+        except cli.CliError as exc:
+            got = str(exc)
+    assert got == expected
+
+
+ODD_NAMES = (".h.mcd", "UP.MCD", "x.mcd.bak", ".mcd", "a b.mcd", "\xe9t\xe9.mcd", "b.mcd", "a.mcd", "Z.mcd")
+
+
+def _listed(corpus: str) -> list[str]:
+    """The paths _load_corpus passes to _load_model for --corpus corpus."""
+    seen = []
+    with mock.patch.object(cli, "_load_model", lambda path, listed=False: seen.append(path) or Model()):
+        cli._load_corpus(argparse.Namespace(corpus=corpus))
+    return seen
+
+
+@pytest.mark.parametrize("spelling", ["{d}", "{d}/", "./{d}", "{d}//", "."])
+def test_corpus_listing_is_sorted_glob(tmp_path, monkeypatch, spelling):
+    monkeypatch.chdir(tmp_path)
+    d = Path("corpus")
+    d.mkdir()
+    (d / "sub.mcd").mkdir()
+    for name in ODD_NAMES:
+        (d / name).write_text("")
+    corpus = spelling.format(d=d)
+    if corpus == ".":
+        monkeypatch.chdir(d)
+    assert _listed(corpus) == [str(p) for p in sorted(Path(corpus).glob("*.mcd"))]
+    assert len(_listed(corpus)) == 8
+
+
+@pytest.mark.parametrize("spelling", [".", "{d}/", "./{d}", "{d}"])
+def test_malformed_corpus_file_named_as_directory_joins_it(tmp_path, monkeypatch, capsys, spelling):
+    monkeypatch.chdir(tmp_path)
+    d = Path("corpus")
+    d.mkdir()
+    (d / "a.mcd").write_text(PERSON_NAME)
+    (d / "m.mcd").write_text("class P {\r\n  x\n}")
+    corpus = spelling.format(d=d)
+    if corpus == ".":
+        monkeypatch.chdir(d)
+    shown = str(Path(corpus) / "m.mcd")
+    assert shown == ("m.mcd" if corpus == "." else "corpus/m.mcd")
+    assert run(capsys, "quotient", "--corpus", corpus) == (2, "", f"{shown}: error: expected ':' after attribute name at 3:1\n")
+
+
+def test_argv_model_paths_go_through_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("m.mcd").write_text("class {")
+    assert run(capsys, "sm", "m.mcd/") == (2, "", "m.mcd/: error: expected class name at 1:7\n")
+    assert run(capsys, "sm", "./m.mcd") == (2, "", "./m.mcd: error: expected class name at 1:7\n")
+    assert run(capsys, "sm", "") == (2, "", "cannot read : [Errno 21] Is a directory: '.'\n")
+    assert run(capsys, "sm", "a//b.mcd") == (2, "", "cannot read a//b.mcd: [Errno 2] No such file or directory: 'a/b.mcd'\n")
+
+
+def test_unlistable_corpus_exits_2(files, capsys, monkeypatch):
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(os, "listdir", refuse)
+    assert run(capsys, "quotient", "--corpus", files) == (2, "", f"no .mcd files in {files}\n")

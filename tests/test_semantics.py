@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import itertools
 import pickle
 import time
 from collections import namedtuple
+from math import log10
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +31,7 @@ from modelalg import (
     semantically_eq,
     universe_from_spec,
 )
-from modelalg.semantics import EXACT_DIGITS
+from modelalg.semantics import EXACT_DIGITS, _count_text
 
 from .oracle import EnumOracle, enumerate_systems, naive_denotation, satisfies, to_bitset
 from .strategies import ATTRS, CLASSES, PADDED_UNIVERSE, TINY_UNIVERSE, TYPES, constraints, models
@@ -52,6 +54,15 @@ def test_build_universe_no_models():
     u = build_universe([])
     assert (u.class_pool, u.attr_pool, u.type_pool) == (("_C1",), ("_a1",), ("_T1",))
     assert u.system_count == 3
+
+
+@pytest.mark.parametrize("padding, kind", [((0, 9, 10**9), "class"), ((9, 0, 10**9), "attribute"), ((1, 1, 0), "type")])
+def test_build_universe_reports_the_first_empty_pool_from_the_sizes(padding, kind):
+    pools = [[f"_P{i}" for i in range(1, min(n, 9) + 1)] for n in padding]
+    with pytest.raises(UniverseError, match=f"^empty {kind} pool$"):
+        Universe(*pools)
+    with pytest.raises(UniverseError, match=f"^empty {kind} pool$"):
+        build_universe([], *padding)  # builds none of the 10**9 names
 
 
 def test_worked_universe_count():
@@ -96,6 +107,23 @@ def test_count_text_exact_up_to_its_digit_limit(classes, attrs):
     else:
         n = u.count_text().removeprefix("about 10^")
         assert 10 ** int(n) <= count < 10 ** (int(n) + 1)
+
+
+@pytest.mark.parametrize("attrs, classes", [
+    *itertools.product((3000, 5000, 7777, 20000), (1, 2, 3, 7)),
+    # few states per class, many classes: the 1 + of each class's count matters
+    *itertools.product((1, 2, 3), (10**4, 10**5, 10**7)),
+    # (types + 1) ** attrs a power of ten, near EXACT_DIGITS digits
+    *itertools.product((512, 1024, 4300, 4301), (1, 3, 10**4)),
+])
+def test_count_text_exponent_from_the_pool_sizes_alone(attrs, classes):
+    # the "about 10^N" form takes N from attrs * log10(types + 1) when
+    # (types + 1) ** attrs is past EXACT_DIGITS digits, instead of building
+    # it; on this grid it gives the N of the exact form
+    for types in range(1, 39):
+        text = _count_text(classes, attrs, types)
+        if text.startswith("about"):
+            assert text == f"about 10^{int(classes * log10(1 + (types + 1) ** attrs))}"
 
 
 def test_astronomical_cap_refusal_builds_no_huge_count():

@@ -1,5 +1,7 @@
 import copy
 import pickle
+import re
+import time
 from unittest import mock
 
 import pytest
@@ -10,6 +12,7 @@ from modelalg import (
     AttrComplete,
     AttrTyped,
     ClassExists,
+    CorpusBounds,
     Model,
     ParseError,
     normalize,
@@ -242,3 +245,39 @@ def test_parse_never_raises_and_its_diagnostics_point_into_the_text(text):
     lines = text.split("\n")
     for d in diags:
         assert 1 <= d.line <= len(lines) and 1 <= d.col <= len(lines[d.line - 1]) + 1
+
+
+def test_long_malformed_declaration_reports_quickly():
+    text = "class P { " + "".join(f"a{i}: T, " for i in range(20_000)) + "}"
+    start = time.perf_counter()
+    model, diags = parse(text)
+    assert time.perf_counter() - start < 2
+    assert model is None and [str(d) for d in diags] == [f"error: expected attribute name at 1:{len(text)}"]
+
+
+@given(st.one_of(st.lists(st.sampled_from(SOUP)).map("".join), models.map(render)))
+@example("complete class P { a: T, b: U }\nclass Q { }")
+def test_parsed_constraints_are_as_their_constructors_build_them(text):
+    # parse expands declarations without validation; the constructors validate
+    model, _ = parse(text)
+    for c in model.constraints if model else ():
+        assert type(c)(*c) == c
+
+
+@given(models)
+def test_normalized_constraints_are_as_their_constructors_build_them(m):
+    for c in normalize(m).constraints:
+        assert type(c)(*c) == c
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ((("bad name",), ("a",), ("T",)), "invalid class name: 'bad name'"),
+    ((("P",), ("_a",), ("T",)), "invalid attribute name: '_a'"),
+    ((("P",), ("a",), ("T", 1)), "invalid type name: 1"),
+    ((("P",), ("a", "b", "a"), ("T",), True), "duplicate attribute 'a' in completeness constraint"),
+])
+def test_corpus_bounds_reject_names_the_constructors_reject(bounds, message):
+    # generated models are expanded from the bounds' names without validation
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CorpusBounds(*bounds)
+    assert CorpusBounds(("P",), ("a", "b", "a"), ("T",), include_complete=False)
