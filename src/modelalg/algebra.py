@@ -603,8 +603,9 @@ def _flat_verdicts(report: OperatorReport) -> dict[str, bool]:
 
 def stability_check(op_id: str, corpus: Corpus, seed: int = 42) -> StabilityReport:
     """Re-classify under 1/1/1 and 2/2/2 fresh-name padding and compare every
-    boolean verdict.  The padded universe is exempted from the enumeration cap
-    because denotations stay in factored form."""
+    boolean verdict.  The padded universe needs no cap: class values do not
+    grow with the pools.  Both have an attribute no model names, so no
+    boolean verdict can differ (see `semantics`)."""
     u1 = build_universe(corpus.models, 1, 1, 1)
     u2 = build_universe(corpus.models, 2, 2, 2, cap=None)
     f1 = _flat_verdicts(classify(op_id, corpus, u1, seed))

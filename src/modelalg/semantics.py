@@ -6,13 +6,13 @@ over the pools.  A model denotes the set of systems satisfying all of its
 constraints.
 
 Because each constraint mentions exactly one class, every denotation is a
-product of per-class state sets.  Denotations are therefore stored factored
-(one bitset of per-class states per pool class), which keeps intersection,
-subset, equality, and cardinality exact even for universes far beyond the
-enumeration cap.  Listing a denotation's systems is only available below
-the cap.  A universe hands out one Denotation object per distinct
-denotation, so two denotations of a universe are equal exactly when they
-are the same object.
+product of per-class state sets, each one *class value*: every state (ANY),
+no state (NONE), "present, with these (attr, type) pairs fixed and the rest
+free" (a frozenset), or "exactly this attribute map" (a 1-tuple of the
+frozenset).  Their meet, subset and size cost the constraints, not the
+universe's states, so they stay exact far beyond the enumeration cap, below
+which alone systems are listed.  A universe hands out one Denotation object
+per distinct denotation, so two are equal exactly when they are identical.
 """
 
 from __future__ import annotations
@@ -23,12 +23,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import log10, prod
 
-from .syntax import IDENT_RE, AttrComplete, AttrTyped, ClassExists, Constraint, Model
+from .syntax import IDENT_RE, AttrComplete, AttrTyped, Constraint, Model
 
 DEFAULT_CAP = 1 << 20
 # counts up to this many digits are written out in full; CPython's default
 # limit on int-to-str conversion is the same
 EXACT_DIGITS = 4300
+# the class values of every state and of no state; singletons survive pickle and copy
+ANY, NONE = None, False
 
 
 class UniverseError(ValueError):
@@ -92,6 +94,8 @@ class Universe:
     cap: int | None = DEFAULT_CAP
     _den_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _con_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _meet_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _text_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "class_pool", tuple(self.class_pool))
@@ -131,10 +135,6 @@ class Universe:
         """system_count in decimal, or "about 10^N" beyond EXACT_DIGITS digits."""
         return _count_text(*self.sizes)
 
-    @cached_property
-    def full_class_mask(self) -> int:
-        return (1 << self.class_state_count) - 1
-
     def class_index(self, name: str) -> int:
         try:
             return self.class_pool.index(name)
@@ -145,16 +145,12 @@ class Universe:
         """None for absent, else the (attr, type) pairs in attr-pool order."""
         if state == 0:
             return None
-        v = state - 1
-        radix = self.attr_state_radix
-        digits = []
-        for _ in self.attr_pool:
-            digits.append(v % radix)
-            v //= radix
-        digits.reverse()  # attr_pool[0] is the most significant digit
-        return tuple(
-            (a, self.type_pool[d - 1]) for a, d in zip(self.attr_pool, digits) if d != 0
-        )
+        v, pairs = state - 1, []
+        for a in reversed(self.attr_pool):  # attr_pool[0] is the most significant digit
+            v, d = divmod(v, self.attr_state_radix)
+            if d != 0:
+                pairs.append((a, self.type_pool[d - 1]))
+        return tuple(reversed(pairs))
 
     def describe(self) -> str:
         return (
@@ -187,81 +183,116 @@ class System:
         return idx
 
     def __str__(self) -> str:
-        parts = []
-        for cls, state in zip(self.universe.class_pool, self.states):
-            pairs = self.universe.decode_class_state(state)
-            if pairs is None:
-                parts.append(f"{cls} absent")
-            else:
-                parts.append(f"{cls}{{{', '.join(f'{a}: {t}' for a, t in pairs)}}}")
+        u, parts = self.universe, []
+        for key in enumerate(self.states):  # (class index, state), rendered once per universe
+            text = u._text_cache.get(key)
+            if text is None:
+                cls, pairs = u.class_pool[key[0]], u.decode_class_state(key[1])
+                text = f"{cls} absent" if pairs is None else f"{cls}{{{', '.join(f'{a}: {t}' for a, t in pairs)}}}"
+                u._text_cache[key] = text
+            parts.append(text)
         return "; ".join(parts)
 
 
-def _check_names(u: Universe, c: Constraint) -> None:
-    if c.cls not in u.class_pool:
-        raise UniverseError(f"class {c.cls!r} not in universe")
-    pairs = ()
-    if isinstance(c, AttrTyped):
-        pairs = ((c.attr, c.type),)
-    elif isinstance(c, AttrComplete):
-        pairs = c.attrs
-    for a, t in pairs:
-        if a not in u.attr_pool:
-            raise UniverseError(f"attribute {a!r} not in universe")
-        if t not in u.type_pool:
-            raise UniverseError(f"type {t!r} not in universe")
+def _intern(u: Universe, v):
+    """u's one object for class value v, with a fixed value that fixes every
+    pool attribute as the exact map.  u._meet_cache maps it to its row: a
+    dict from other values to their meet with it, which maps v itself to v."""
+    if type(v) is frozenset and len(v) == len(u.attr_pool):
+        v = (v,)
+    return u._meet_cache.setdefault(v, {v: v})[v]
+
+
+def _meet(u: Universe, a, b):
+    """The interned class value a & b, cached in interned a's row of u._meet_cache."""
+    if a is ANY or b is NONE:
+        r = b
+    elif b is ANY or a is NONE:
+        r = a
+    elif type(a) is tuple or type(b) is tuple:  # an exact map meets a value
+        exact, other = (a, b) if type(a) is tuple else (b, a)
+        r = exact if (other == exact if type(other) is tuple else other.issubset(exact[0])) else NONE
+    else:  # fixed pairs; one attribute fixed to two types allows no state
+        r = a | b
+        r = NONE if len({attr for attr, _ in r}) < len(r) else r
+    r = u._meet_cache[a][b] = _intern(u, r)
+    return r
+
+
+def _value_states(u: Universe, v):
+    """The per-class states class value v allows, ascending; for listing only."""
+    if v is ANY:
+        return range(u.class_state_count)
+    radix, n, fixed = u.attr_state_radix, len(u.attr_pool), dict(v[0] if type(v) is tuple else v)
+    free = (0,) if type(v) is tuple else range(radix)
+    places = [[d * radix ** (n - 1 - j) for d in ((u.type_pool.index(fixed[a]) + 1,) if a in fixed else free)]
+              for j, a in enumerate(u.attr_pool)]  # attr_pool[0] is the most significant digit
+    return [1 + sum(ds) for ds in itertools.product(*places)]
 
 
 @dataclass(frozen=True)
 class Denotation:
-    """A product of per-class state sets; the empty denotation is canonically
-    all-zero so equality and hashing are structural."""
+    """A product of per-class state sets, one class value per pool class (see
+    the module docstring); the empty denotation is canonically all-NONE so
+    equality and hashing are structural."""
 
     universe: Universe
-    class_masks: tuple[int, ...]
+    class_values: tuple
 
     def __post_init__(self):
-        masks = tuple(self.class_masks)
-        if any(m == 0 for m in masks):
-            masks = (0,) * len(masks)
-        object.__setattr__(self, "class_masks", masks)
+        values = (NONE,) * len(self.class_values) if NONE in self.class_values else self.class_values
+        object.__setattr__(self, "class_values", tuple(_intern(self.universe, v) for v in values))
+
+    def __hash__(self) -> int:  # not the universe's: that would hash its pools
+        return hash(self.class_values)
 
     @property
     def is_empty(self) -> bool:
-        return self.class_masks[0] == 0  # __post_init__ zeroes every mask if one is zero
+        return self.class_values[0] is NONE  # __post_init__ makes every value NONE if one is
 
     @property
     def is_full(self) -> bool:
-        full = self.universe.full_class_mask
-        return all(m == full for m in self.class_masks)
+        return all(v is ANY for v in self.class_values)
 
     @cached_property
     def size(self) -> int:
-        if self.is_empty:
-            return 0
-        return prod(m.bit_count() for m in self.class_masks)
+        u = self.universe
+        return prod(
+            u.class_state_count if v is ANY else 0 if v is NONE else 1 if type(v) is tuple
+            else u.attr_state_radix ** (len(u.attr_pool) - len(v))
+            for v in self.class_values
+        )
 
     def issubset(self, other: "Denotation") -> bool:
-        if self.universe is not other.universe and self.universe != other.universe:
+        u = self.universe
+        if u is not other.universe and u != other.universe:
             raise UniverseError("denotations belong to different universes")
-        if self.is_empty:
-            return True
-        return all(a & ~b == 0 for a, b in zip(self.class_masks, other.class_masks))
+        meets = u._meet_cache
+        for a, b in zip(self.class_values, other.class_values):
+            if a is not b and b is not ANY:  # else a & b is a
+                r = meets[a].get(b)
+                if (_meet(u, a, b) if r is None else r) is not a:
+                    return False
+        return True
 
     def __and__(self, other: "Denotation") -> "Denotation":
-        if self.universe is not other.universe and self.universe != other.universe:
+        u = self.universe
+        if u is not other.universe and u != other.universe:
             raise UniverseError("denotations belong to different universes")
-        return _canonical(self.universe, [a & b for a, b in zip(self.class_masks, other.class_masks)])
+        meets, values = u._meet_cache, []
+        for a, b in zip(self.class_values, other.class_values):
+            if a is not b and b is not ANY:
+                r = meets[a].get(b)
+                a = _meet(u, a, b) if r is None else r
+            values.append(a)
+        return _canonical(u, values)
 
     def _member_states(self):
         """Member state tuples in the canonical enumeration order."""
         if self.is_empty:
             return
         _enumeration_guard(self.universe)
-        count = self.universe.class_state_count
-        yield from itertools.product(
-            *([s for s in range(count) if mask >> s & 1] for mask in self.class_masks)
-        )
+        yield from itertools.product(*(_value_states(self.universe, v) for v in self.class_values))
 
     def indices(self):
         """Member system indices, ascending in the canonical enumeration order."""
@@ -273,54 +304,45 @@ class Denotation:
             yield System(self.universe, states)
 
 
-def _constraint_mask(u: Universe, c: Constraint) -> tuple[int, int]:
-    """(class index, bitset of allowed per-class states) for one constraint
-    not yet in u._con_cache; it is validated here and cached only if valid."""
-    _check_names(u, c)
+def _constraint_value(u: Universe, c: Constraint) -> tuple:
+    """(class index, interned class value) for one constraint not yet in
+    u._con_cache; it is validated here and cached only if valid."""
     ci = u.class_index(c.cls)
-    count = u.class_state_count
-    radix = u.attr_state_radix
-    n_attrs = len(u.attr_pool)
-    if isinstance(c, ClassExists):
-        mask = ((1 << count) - 1) & ~1
-    elif isinstance(c, AttrTyped):
-        j = u.attr_pool.index(c.attr)
-        want = u.type_pool.index(c.type) + 1
-        step = radix ** (n_attrs - 1 - j)
-        mask = 0
-        for state in range(1, count):
-            if (state - 1) // step % radix == want:
-                mask |= 1 << state
-    else:  # AttrComplete: exactly one matching state
-        digits = [0] * n_attrs
-        for a, t in c.attrs:
-            digits[u.attr_pool.index(a)] = u.type_pool.index(t) + 1
-        v = 0
-        for d in digits:
-            v = v * radix + d
-        mask = 1 << (v + 1)
-    result = u._con_cache[c] = (ci, mask)
+    exact = isinstance(c, AttrComplete)
+    pairs = c.attrs if exact else ((c.attr, c.type),) if isinstance(c, AttrTyped) else ()
+    for a, t in pairs:
+        if a not in u.attr_pool:
+            raise UniverseError(f"attribute {a!r} not in universe")
+        if t not in u.type_pool:
+            raise UniverseError(f"type {t!r} not in universe")
+    result = u._con_cache[c] = (ci, _intern(u, (frozenset(pairs),) if exact else frozenset(pairs)))
     return result
 
 
-def _canonical(u: Universe, masks: list) -> Denotation:
-    """The universe's one Denotation with these class masks."""
-    key = (0,) * len(masks) if 0 in masks else tuple(masks)
+def _canonical(u: Universe, values: list) -> Denotation:
+    """The universe's one Denotation with these interned class values; a
+    vector with a NONE is cached as well as the all-NONE one it stands for."""
+    key = tuple(values)
     d = u._den_cache.get(key)
     if d is None:
-        d = u._den_cache[key] = Denotation(u, key)
+        d = Denotation(u, key)
+        d = u._den_cache[key] = u._den_cache.setdefault(d.class_values, d)
     return d
 
 
 def denotation(m: Model, u: Universe) -> Denotation:
     """The exact set of universe systems satisfying every constraint of m, as
     u's one Denotation object for that set."""
-    con_cache = u._con_cache
-    masks = [u.full_class_mask] * len(u.class_pool)
+    con_cache, meets = u._con_cache, u._meet_cache
+    values = [ANY] * len(u.class_pool)
     for c in m.constraints:
-        ci, cm = con_cache.get(c) or _constraint_mask(u, c)
-        masks[ci] &= cm
-    return _canonical(u, masks)
+        ci, v = con_cache.get(c) or _constraint_value(u, c)
+        w = values[ci]
+        if w is not ANY and w is not v:  # else w & v is v
+            r = meets[w].get(v)
+            v = _meet(u, w, v) if r is None else r
+        values[ci] = v
+    return _canonical(u, values)
 
 
 def is_consistent(m: Model, u: Universe) -> bool:
@@ -350,24 +372,15 @@ def build_universe(
     synthetic fresh names approximating the openness of loose semantics."""
     if min(fresh_classes, fresh_attrs, fresh_types) < 0:
         raise ValueError("fresh-name counts must be >= 0")
-    classes: list[str] = []
-    attrs: list[str] = []
-    types: list[str] = []
-
-    def add(pool: list[str], name: str) -> None:
-        if name not in pool:
-            pool.append(name)
-
+    classes, attrs, types = {}, {}, {}  # name -> None, in first-occurrence order
     for m in models:
         for c in m.constraints:
-            add(classes, c.cls)
+            classes[c.cls] = None
             if isinstance(c, AttrTyped):
-                add(attrs, c.attr)
-                add(types, c.type)
+                attrs[c.attr] = types[c.type] = None
             elif isinstance(c, AttrComplete):
                 for a, t in c.attrs:
-                    add(attrs, a)
-                    add(types, t)
+                    attrs[a] = types[t] = None
     # fresh names start with "_", so they cannot repeat a parsed name, and the
     # pool sizes alone decide an empty pool, as Universe reports it, and the
     # cap before any fresh name is built
@@ -376,9 +389,9 @@ def build_universe(
         raise UniverseError(f"empty {('class', 'attribute', 'type')[sizes.index(0)]} pool")
     if cap is not None and _count_at_most(*sizes, cap) is None:
         raise UniverseCapError(sizes, cap)
-    classes += [f"_C{i}" for i in range(1, fresh_classes + 1)]
-    attrs += [f"_a{i}" for i in range(1, fresh_attrs + 1)]
-    types += [f"_T{i}" for i in range(1, fresh_types + 1)]
+    classes.update(dict.fromkeys(f"_C{i}" for i in range(1, fresh_classes + 1)))
+    attrs.update(dict.fromkeys(f"_a{i}" for i in range(1, fresh_attrs + 1)))
+    types.update(dict.fromkeys(f"_T{i}" for i in range(1, fresh_types + 1)))
     return Universe(tuple(classes), tuple(attrs), tuple(types), cap=cap)
 
 

@@ -6,6 +6,7 @@ import time
 from collections import namedtuple
 from math import log10
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from modelalg import (
     Corpus,
     Denotation,
     Model,
+    System,
     Universe,
     UniverseCapError,
     UniverseError,
@@ -28,10 +30,13 @@ from modelalg import (
     normalize,
     parse_strict,
     refines,
+    render,
     semantically_eq,
     universe_from_spec,
 )
-from modelalg.semantics import EXACT_DIGITS, _count_text
+from modelalg import OPERATORS, cli, default_corpus
+from modelalg.algebra import _flat_verdicts
+from modelalg.semantics import EXACT_DIGITS, NONE, _count_text
 
 from .oracle import EnumOracle, enumerate_systems, naive_denotation, satisfies, to_bitset
 from .strategies import ATTRS, CLASSES, PADDED_UNIVERSE, TINY_UNIVERSE, TYPES, constraints, models
@@ -137,12 +142,12 @@ def test_astronomical_cap_refusal_builds_no_huge_count():
 
 def test_universe_pickle_and_replace_round_trip():
     u = Universe(("Person", "X"), ("name", "age"), ("String",), cap=None)
-    derived = (u.attr_state_radix, u.class_state_count, u.system_count, u.full_class_mask)
-    assert derived == (2, 5, 25, 0b11111)
+    derived = (u.attr_state_radix, u.class_state_count, u.system_count)
+    assert derived == (2, 5, 25)
     mine = denotation(PERSON, u)
     for other in (pickle.loads(pickle.dumps(u)), copy.deepcopy(u), dataclasses.replace(u)):
         assert other == u and hash(other) == hash(u) and repr(other) == repr(u)
-        assert (other.attr_state_radix, other.class_state_count, other.system_count, other.full_class_mask) == derived
+        assert (other.attr_state_radix, other.class_state_count, other.system_count) == derived
         theirs = denotation(PERSON, other)
         assert theirs == mine and theirs is not mine and theirs.universe is other
     assert repr(u) == "Universe(class_pool=('Person', 'X'), attr_pool=('name', 'age'), type_pool=('String',), cap=None)"
@@ -385,7 +390,7 @@ def test_one_denotation_object_per_set(m1, m2, rnd):
         assert denotation(Model(tuple(variant)), u) is d1
     if d1.is_empty:
         assert d1 is denotation(Model((PERSON_NO_ATTRS, PERSON_NAME)), u)
-        assert d1.class_masks == (0,) * len(u.class_pool)
+        assert d1.class_values == (NONE,) * len(u.class_pool)
 
 
 @settings(max_examples=150)
@@ -394,7 +399,7 @@ def test_meet_is_the_canonical_structural_meet(m1, m2):
     u = TINY_UNIVERSE
     d1, d2 = denotation(m1, u), denotation(m2, u)
     meet = d1 & d2
-    assert meet == Denotation(u, tuple(a & b for a, b in zip(d1.class_masks, d2.class_masks)))
+    assert set(meet.indices()) == set(d1.indices()) & set(d2.indices())
     assert set(meet.indices()) == naive_denotation(m1, u) & naive_denotation(m2, u)
     assert meet is denotation(Model(m1.constraints + m2.constraints), u)
     assert (d2 & d1) is meet and (meet & d1) is meet
@@ -512,3 +517,82 @@ def test_normalize_preserves_semantics(m):
 
 def test_cardinality_law():
     assert denotation(Model(()), TINY_UNIVERSE).size == TINY_UNIVERSE.system_count
+
+
+# --- class values ----------------------------------------------------------
+
+
+small_corpora = st.lists(models, min_size=1, max_size=4).map(lambda ms: Corpus(tuple(ms), "test"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_corpora, st.integers(2, 6))
+def test_verdicts_do_not_depend_on_the_padding(corpus, k):
+    # with one pool attribute named by no model, no fixed value fixes every
+    # attribute, so no relation between class values depends on the pool sizes
+    for op in OPERATORS:
+        small = classify(op, corpus, build_universe(corpus.models, 1, 1, 1), seed=3)
+        padded = classify(op, corpus, build_universe(corpus.models, k, k, k, cap=None), seed=3)
+        assert _flat_verdicts(small) == _flat_verdicts(padded)
+
+
+def _oracle_text(oracle, j) -> str:
+    """System j of the oracle's universe written as `sm --list` writes it,
+    from the oracle's own per-class and per-attribute digits."""
+    u, parts = oracle.u, []
+    for cls, state in zip(u.class_pool, oracle.digits[j]):
+        pairs = [f"{a}: {u.type_pool[d - 1]}" for a, d in zip(u.attr_pool, oracle.attr_digit[state]) if d]
+        parts.append(f"{cls} absent" if state == 0 else f"{cls}{{{', '.join(pairs)}}}")
+    return "; ".join(parts)
+
+
+def test_sm_list_prints_the_oracle_enumeration(tmp_path, capsys):
+    listed = 0
+    for i, m in enumerate(default_corpus().models):
+        u = build_universe([m])
+        oracle = EnumOracle(u)
+        members = np.flatnonzero(oracle.den(m))
+        want = [_oracle_text(oracle, j) for j in members]
+        assert want == [str(System(u, tuple(map(int, oracle.digits[j])))) for j in members]
+        path = tmp_path / f"m{i}.mcd"
+        path.write_text(render(m), encoding="utf-8")
+        assert cli.main(["sm", "--list", str(path)]) == 0
+        head, *lines = capsys.readouterr().out.splitlines()
+        assert head.startswith(f"{len(want)} of {u.system_count}, ")
+        assert lines == want
+        listed += len(lines)
+    assert listed > 10**4
+
+
+def test_cap_free_universe_of_a_hundred_fresh_names_each():
+    corpus = default_corpus()
+    u = build_universe(corpus.models, 100, 100, 100, cap=None)
+    small = build_universe(corpus.models)
+    classes, attrs, types = u.sizes
+    states = 1 + (types + 1) ** attrs
+    closed_forms = {  # model -> its system count, for models of corpus names
+        Model(()): states**classes,
+        Model((ClassExists("Person"),)): (states - 1) * states ** (classes - 1),
+        Model((PERSON_NAME,)): (types + 1) ** (attrs - 1) * states ** (classes - 1),
+        Model((AttrComplete("Person", (("name", "String"),)),)): states ** (classes - 1),
+        Model((PERSON_NO_ATTRS, PERSON_NAME)): 0,
+    }
+    start = time.perf_counter()
+    dens = [denotation(m, u) for m in corpus.models]
+    meets = [a & b for a in dens for b in dens]
+    subsets = [a.issubset(b) for a in dens for b in dens]
+    flags = [(d.is_full, d.is_empty) for d in dens + meets]
+    sizes = [denotation(m, u).size for m in closed_forms] + [d.size for d in dens]
+    assert time.perf_counter() - start < 1
+    assert sizes[: len(closed_forms)] == list(closed_forms.values())  # compared as ints, never as text
+    # the same relations as in the 1/1/1-padded universe
+    small_dens = [denotation(m, small) for m in corpus.models]
+    assert subsets == [a.issubset(b) for a in small_dens for b in small_dens]
+    assert flags == [(d.is_full, d.is_empty) for d in small_dens + [a & b for a in small_dens for b in small_dens]]
+
+
+def test_denotations_of_equal_universes_hash_alike():
+    u1, u2 = Universe(CLASSES, ATTRS, TYPES), Universe(CLASSES, ATTRS, TYPES)
+    for m in (Model(()), PERSON, Model((PERSON_NO_ATTRS,)), Model((PERSON_NO_ATTRS, PERSON_NAME))):
+        d1, d2 = denotation(m, u1), denotation(m, u2)
+        assert d1 == d2 and hash(d1) == hash(d2) and len({d1, d2}) == 1
