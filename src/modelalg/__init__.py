@@ -1,6 +1,8 @@
 """Set-valued semantics for a small class-model language and an algebraic
 property checker for model composition operators."""
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     Corpus,
     CorpusBounds,
@@ -64,4 +66,4 @@ from .syntax import (
     syntactic_eq,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -1,7 +1,9 @@
 """The property checker: classifies a composition operator against every row
-of the composition-property table and the special-elements table, audits the
-tables' dependency columns, builds the semantic quotient of a corpus, and
-checks that composition is a congruence for it.
+of the composition-property table (Table 1: the `TABLE1_PAIR_ROWS`, evaluated
+in one row-major pass over the corpus pairs, and associativity) and the
+special-elements table (`TABLE2`), audits the tables' dependency columns,
+builds the semantic quotient of a corpus, and checks that composition is a
+congruence for it.
 
 All verdicts are relative to a finite corpus and universe: a false verdict is
 definitive and carries witnesses; a true verdict means "no counterexample in
@@ -213,74 +215,68 @@ def _sample_triples(n: int, seed: int, count: int = TRIPLE_SAMPLES) -> tuple:
 # --- table 1 ---------------------------------------------------------------
 
 
+def _pp_observed(c, a, b, ab, ba, dab, meet) -> str:
+    return f"|sm(op(m1,m2))|={dab.size}, |sm(m1)|={c.den(a).size}, |sm(m2)|={c.den(b).size}"
+
+
+# Table 1's pair properties as data: (property, whether it compares a pair with
+# its swap and so sees each unordered pair once, as i < j, failure predicate,
+# relation text, observed text).  The predicate and the observed text take a
+# pair's terms: the composer c, the ids a and b, ab = op(a,b), ba = op(b,a),
+# dab = sm(ab) and meet = sm(a) & sm(b).
+TABLE1_PAIR_ROWS = (
+    ("PP_l", False, lambda c, a, b, ab, ba, dab, meet: not dab.issubset(c.den(a)),
+     "sm(op(m1,m2)) is a subset of sm(m1)", _pp_observed),
+    ("PP_r", False, lambda c, a, b, ab, ba, dab, meet: not dab.issubset(c.den(b)),
+     "sm(op(m1,m2)) is a subset of sm(m2)", _pp_observed),
+    ("PP", False, lambda c, a, b, ab, ba, dab, meet: not dab.issubset(meet),
+     "sm(op(m1,m2)) is a subset of sm(m1) & sm(m2)", _pp_observed),
+    ("FPP", False, lambda c, a, b, ab, ba, dab, meet: dab is not meet,
+     "sm(op(m1,m2)) equals sm(m1) & sm(m2)",
+     lambda c, a, b, ab, ba, dab, meet: f"|sm(op(m1,m2))|={dab.size}, |sm(m1) & sm(m2)|={meet.size}"),
+    ("CP", False, lambda c, a, b, ab, ba, dab, meet: dab.is_empty and not meet.is_empty,
+     "sm(m1) & sm(m2) nonempty implies sm(op(m1,m2)) nonempty",
+     lambda c, a, b, ab, ba, dab, meet: f"|sm(m1) & sm(m2)|={meet.size}, |sm(op(m1,m2))|=0"),
+    ("Com", True, lambda c, a, b, ab, ba, dab, meet: ab != ba,
+     "op(m1,m2) syntactically equals op(m2,m1)",
+     lambda c, a, b, ab, ba, dab, meet: f"op(m1,m2)={c.show(ab)}; op(m2,m1)={c.show(ba)}"),
+    # equal ids denote the same canonical set, so this fails only where Com does
+    ("Com_sm", True, lambda c, a, b, ab, ba, dab, meet: dab is not c.den(ba),
+     "sm(op(m1,m2)) equals sm(op(m2,m1))",
+     lambda c, a, b, ab, ba, dab, meet: f"|sm(op(m1,m2))|={dab.size}, |sm(op(m2,m1))|={c.den(ba).size}"),
+)
+
+
+def _check_pairs(comp: _Composer) -> dict:
+    """Every TABLE1_PAIR_ROWS verdict, from one row-major pass over the corpus pairs."""
+    n = len(comp.ids)
+    fails: dict[str, list[Witness]] = {row[0]: [] for row in TABLE1_PAIR_ROWS}
+    for i, a in enumerate(comp.ids):
+        for j, b in enumerate(comp.ids):
+            ab, ba = comp(a, b), comp(b, a)
+            dab, meet = comp.den(ab), comp.meet(a, b)
+            for prop, swapped, failed, relation, observed in TABLE1_PAIR_ROWS:
+                if (i < j or not swapped) and failed(comp, a, b, ab, ba, dab, meet):
+                    _keep(fails[prop], lambda: Witness(
+                        (comp.show(a), comp.show(b)), relation, observed(comp, a, b, ab, ba, dab, meet)))
+    return {prop: _verdict(prop, fails[prop], n * (n - 1) // 2 if swapped else n * n, True)
+            for prop, swapped, *_ in TABLE1_PAIR_ROWS}
+
+
 def _check_pp(comp: _Composer) -> dict:
-    wl, wr, wb = [], [], []
-    for a in comp.ids:
-        for b in comp.ids:
-            dc, d1, d2 = comp.den(comp(a, b)), comp.den(a), comp.den(b)
-            rows = (wl, d1, "sm(m1)"), (wr, d2, "sm(m2)"), (wb, comp.meet(a, b), "sm(m1) & sm(m2)")
-            for kept, bound, name in rows:
-                if not dc.issubset(bound):
-                    _keep(kept, lambda: Witness(
-                        (comp.show(a), comp.show(b)), f"sm(op(m1,m2)) is a subset of {name}",
-                        f"|sm(op(m1,m2))|={dc.size}, |sm(m1)|={d1.size}, |sm(m2)|={d2.size}"))
-    n2 = len(comp.ids) ** 2
-    return {
-        "PP_l": _verdict("PP_l", wl, n2, True),
-        "PP_r": _verdict("PP_r", wr, n2, True),
-        "PP": _verdict("PP", wb, n2, True),
-    }
+    return {p: v for p, v in _check_pairs(comp).items() if p in ("PP_l", "PP_r", "PP")}
 
 
 def _check_fpp(comp: _Composer) -> Verdict:
-    failures = []
-    for a in comp.ids:
-        for b in comp.ids:
-            dc, di = comp.den(comp(a, b)), comp.meet(a, b)
-            if dc is not di:
-                _keep(failures, lambda: Witness(
-                    (comp.show(a), comp.show(b)), "sm(op(m1,m2)) equals sm(m1) & sm(m2)",
-                    f"|sm(op(m1,m2))|={dc.size}, |sm(m1) & sm(m2)|={di.size}"))
-    return _verdict("FPP", failures, len(comp.ids) ** 2, True)
+    return _check_pairs(comp)["FPP"]
 
 
 def _check_cp(comp: _Composer) -> Verdict:
-    failures = []
-    for a in comp.ids:
-        for b in comp.ids:
-            di = comp.meet(a, b)
-            if di.is_empty:
-                continue
-            if comp.den(comp(a, b)).is_empty:
-                _keep(failures, lambda: Witness(
-                    (comp.show(a), comp.show(b)),
-                    "sm(m1) & sm(m2) nonempty implies sm(op(m1,m2)) nonempty",
-                    f"|sm(m1) & sm(m2)|={di.size}, |sm(op(m1,m2))|=0"))
-    return _verdict("CP", failures, len(comp.ids) ** 2, True)
+    return _check_pairs(comp)["CP"]
 
 
 def _check_commutativity(comp: _Composer) -> dict:
-    syn, sem = [], []
-    ids = comp.ids
-    n = len(ids)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = ids[i], ids[j]
-            ab, ba = comp(a, b), comp(b, a)
-            if ab != ba:
-                _keep(syn, lambda: Witness(
-                    (comp.show(a), comp.show(b)), "op(m1,m2) syntactically equals op(m2,m1)",
-                    f"op(m1,m2)={comp.show(ab)}; op(m2,m1)={comp.show(ba)}"))
-                da, db = comp.den(ab), comp.den(ba)
-                if da is not db:
-                    _keep(sem, lambda: Witness(
-                        (comp.show(a), comp.show(b)), "sm(op(m1,m2)) equals sm(op(m2,m1))",
-                        f"|sm(op(m1,m2))|={da.size}, |sm(op(m2,m1))|={db.size}"))
-    checked = n * (n - 1) // 2
-    return {
-        "Com": _verdict("Com", syn, checked, True),
-        "Com_sm": _verdict("Com_sm", sem, checked, True),
-    }
+    return {p: v for p, v in _check_pairs(comp).items() if p in ("Com", "Com_sm")}
 
 
 def _check_associativity(comp: _Composer, seed: int) -> dict:
@@ -441,8 +437,7 @@ def _implication_audit(table1: dict, table2) -> tuple[str, ...]:
 
 def classify(op_id: str, corpus: Corpus, u: Universe, seed: int = 42) -> OperatorReport:
     comp = _Composer(op_id, corpus, u)
-    table1 = {**_check_pp(comp), "FPP": _check_fpp(comp), "CP": _check_cp(comp),
-              **_check_commutativity(comp), **_check_associativity(comp, seed)}
+    table1 = {**_check_pairs(comp), **_check_associativity(comp, seed)}
     table1 = {p: table1[p] for p in TABLE1_PROPS}
 
     table2 = tuple((i, _check_element(comp, e)) for i, e in enumerate(comp.ids))

@@ -59,10 +59,10 @@ def _count_text(classes: int, attrs: int, types: int) -> str:
     """The system count of nonempty pools of these sizes in decimal, or
     "about 10^N" beyond EXACT_DIGITS digits."""
     bound = 10**EXACT_DIGITS - 1
-    states = _bounded_pow(types + 1, attrs, bound)
-    count = None if states is None else _bounded_pow(1 + states, classes, bound)
+    count = _count_at_most(classes, attrs, types, bound)
     if count is not None:
         return str(count)
+    states = _bounded_pow(types + 1, attrs, bound)
     # past the bound, 1 + states and states differ below a float's precision
     per_class = attrs * log10(types + 1) if states is None else log10(1 + states)
     return f"about 10^{int(classes * per_class)}"

@@ -400,20 +400,75 @@ def _eager_element(comp, e: int) -> dict:
     return {p: Verdict(p, not w, tuple(w), True, len(comp.ids)) for p, w in fails.items()}
 
 
-@pytest.mark.parametrize("op", ("strict", "paranoid"))
-@pytest.mark.parametrize("corpus", (default_corpus(), generate_corpus(SMALL_BOUNDS, max_models=50)),
-                         ids=("sampled", "exhaustive"))
+def _eager_pairs(comp) -> dict:
+    """Table 1's pair properties with every denotation computed up front and
+    compared structurally: row-major order, Com and Com_sm over i < j only."""
+    ids, u = comp.ids, comp.u
+    n = len(ids)
+    fails = {p: [] for p in ("PP_l", "PP_r", "PP", "FPP", "CP", "Com", "Com_sm")}
+    for i, a in enumerate(ids):
+        for j, b in enumerate(ids):
+            ab, ba = comp(a, b), comp(b, a)
+            d1, d2, dab, dba = (denotation(comp.models[x], u) for x in (a, b, ab, ba))
+            meet = d1 & d2
+            shown = (comp.show(a), comp.show(b))
+            sizes = f"|sm(op(m1,m2))|={dab.size}, |sm(m1)|={d1.size}, |sm(m2)|={d2.size}"
+            for prop, bound, name in (("PP_l", d1, "sm(m1)"), ("PP_r", d2, "sm(m2)"), ("PP", meet, "sm(m1) & sm(m2)")):
+                if not dab.issubset(bound):
+                    _first(fails[prop], lambda: Witness(shown, f"sm(op(m1,m2)) is a subset of {name}", sizes))
+            if dab != meet:
+                _first(fails["FPP"], lambda: Witness(
+                    shown, "sm(op(m1,m2)) equals sm(m1) & sm(m2)",
+                    f"|sm(op(m1,m2))|={dab.size}, |sm(m1) & sm(m2)|={meet.size}"))
+            if not meet.is_empty and dab.is_empty:
+                _first(fails["CP"], lambda: Witness(
+                    shown, "sm(m1) & sm(m2) nonempty implies sm(op(m1,m2)) nonempty",
+                    f"|sm(m1) & sm(m2)|={meet.size}, |sm(op(m1,m2))|=0"))
+            if i < j and ab != ba:
+                _first(fails["Com"], lambda: Witness(
+                    shown, "op(m1,m2) syntactically equals op(m2,m1)",
+                    f"op(m1,m2)={comp.show(ab)}; op(m2,m1)={comp.show(ba)}"))
+            if i < j and dab != dba:
+                _first(fails["Com_sm"], lambda: Witness(
+                    shown, "sm(op(m1,m2)) equals sm(op(m2,m1))",
+                    f"|sm(op(m1,m2))|={dab.size}, |sm(op(m2,m1))|={dba.size}"))
+    checked = {p: n * (n - 1) // 2 if p.startswith("Com") else n * n for p in fails}
+    return {p: Verdict(p, not w, tuple(w), True, checked[p]) for p, w in fails.items()}
+
+
+# the "few" corpus has fewer than MAX_WITNESSES commutativity failures, so
+# the first ten witnesses alone would not show a pair seen twice
+EAGER_CORPORA = (
+    default_corpus(),
+    generate_corpus(SMALL_BOUNDS, max_models=50),
+    generate_corpus(CorpusBounds(("P",), ("n",), ("S", "T"))),
+)
+
+
+@pytest.mark.parametrize("op", sorted(OPERATORS))
+@pytest.mark.parametrize("corpus", EAGER_CORPORA, ids=("sampled", "exhaustive", "few"))
 def test_lazy_checks_equal_eager_reference(op, corpus):
     u = build_universe(corpus.models)
     comp, eager = algebra._Composer(op, corpus, u), algebra._Composer(op, corpus, u)
+    assert algebra._check_pairs(comp) == _eager_pairs(eager)
     verdicts = algebra._check_associativity(comp, 42)
     assert verdicts == _eager_associativity(eager, 42)
-    assert not verdicts["Ass_sm"].holds
+    assert verdicts["Ass_sm"].holds == (op in ("intersect", "override", "union"))
     for e in comp.ids:
         assert algebra._check_element(comp, e) == _eager_element(eager, e)
 
 
 # --- implication audit ------------------------------------------------------
+
+
+def test_property_tables_are_consistent():
+    props = [row[0] for row in algebra.TABLE1_PAIR_ROWS] + ["Ass", "Ass_sm"]
+    assert len(props) == len(set(props)) and set(props) == set(TABLE1_PROPS)
+    for dependencies, names in ((algebra.TABLE1_DEPENDENCIES, TABLE1_PROPS),
+                                (algebra.TABLE2_DEPENDENCIES, TABLE2_PROPS)):
+        for premises, _, conclusion in dependencies:
+            assert set(premises) | {conclusion} <= set(names)
+
 
 # Violations reported when one verdict of an otherwise all-true (flip to
 # false) or all-false (flip to true) table is flipped.
