@@ -143,10 +143,11 @@ class _Composer:
     interned once, by its constraints, to an int id, so two ids are equal
     exactly when their models are syntactically equal.  The corpus is interned
     on construction; `ids` holds its ids in corpus order.  Compositions are
-    memoized by id pair, and each id's denotation is computed once.  `den` and
-    `meet` return the universe's canonical Denotation objects (one per distinct
-    denotation, see `semantics`), so the checks compare semantics by `is`, and
-    compute none where the ids already agree (equal ids denote the same set)."""
+    memoized by id pair, and each id's denotation is computed once.  `den`, and
+    `&` on what it returns, give the universe's canonical Denotation objects
+    (one per distinct denotation, see `semantics`), so the checks compare
+    semantics by `is`, and compute none where the ids already agree (equal
+    ids denote the same set)."""
 
     def __init__(self, op: str | Operator, corpus: Corpus, u: Universe):
         self.op = get_operator(op) if isinstance(op, str) else op
@@ -154,7 +155,6 @@ class _Composer:
         self.by_constraints: dict = {}  # constraints -> id
         self.models: list[Model] = []  # id -> model
         self.dens: list = []  # id -> denotation, None until first needed
-        self.meets: dict = {}  # (id, id) -> den(a) & den(b)
         self.texts: dict = {}  # id -> one-line source, for the ids a witness shows
         self.results: dict = {}  # (id, id) -> id of the composition
         self.ids = [self.intern(m) for m in corpus.models]
@@ -179,12 +179,6 @@ class _Composer:
             d = self.dens[i] = denotation(self.models[i], self.u)
         return d
 
-    def meet(self, a: int, b: int) -> Denotation:
-        d = self.meets.get((a, b))
-        if d is None:
-            d = self.meets[a, b] = self.den(a) & self.den(b)
-        return d
-
     def show(self, i: int) -> str:
         t = self.texts.get(i)
         if t is None:
@@ -205,11 +199,11 @@ def _verdict(prop, witnesses, checked, exhaustive) -> Verdict:
 
 
 @lru_cache(maxsize=8)
-def _sample_triples(n: int, seed: int, count: int = TRIPLE_SAMPLES) -> tuple:
-    """The seeded associativity sample, drawn once per (n, seed, count) and
-    shared: every operator classified over one corpus checks the same triples."""
+def _sample_triples(n: int, seed: int) -> tuple:
+    """The seeded associativity sample, drawn once per (n, seed) and shared:
+    every operator classified over one corpus checks the same triples."""
     rng = random.Random(seed)
-    return tuple((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(count))
+    return tuple((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(TRIPLE_SAMPLES))
 
 
 # --- table 1 ---------------------------------------------------------------
@@ -254,7 +248,7 @@ def _check_pairs(comp: _Composer) -> dict:
     for i, a in enumerate(comp.ids):
         for j, b in enumerate(comp.ids):
             ab, ba = comp(a, b), comp(b, a)
-            dab, meet = comp.den(ab), comp.meet(a, b)
+            dab, meet = comp.den(ab), comp.den(a) & comp.den(b)
             for prop, swapped, failed, relation, observed in TABLE1_PAIR_ROWS:
                 if (i < j or not swapped) and failed(comp, a, b, ab, ba, dab, meet):
                     _keep(fails[prop], lambda: Witness(

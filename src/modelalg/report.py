@@ -116,17 +116,12 @@ def report_to_text(r: OperatorReport) -> str:
         lines.extend(f"  {item}" for item in r.implication_audit)
     else:
         lines.append("implication audit: ok (no violated dependencies)")
-    t1, t2 = r.theorems["t1"], r.theorems["t2"]
-    lines.append(
-        f"theorem 1 (FPP gives semantic com/ass/idempotence): "
-        f"{'holds' if t1['holds'] else 'VIOLATED'}"
-        f"{' (not applicable: operator is not FPP here)' if not t1['applicable'] else ''}"
-    )
-    lines.append(
-        f"theorem 2 (FPP gives congruence of the quotient): "
-        f"{'holds' if t2['holds'] else 'VIOLATED'}"
-        f"{' (not applicable: operator is not FPP here)' if not t2['applicable'] else ''}"
-    )
+    for n, claim in ((1, "FPP gives semantic com/ass/idempotence"), (2, "FPP gives congruence of the quotient")):
+        t = r.theorems[f"t{n}"]
+        lines.append(
+            f"theorem {n} ({claim}): {'holds' if t['holds'] else 'VIOLATED'}"
+            f"{' (not applicable: operator is not FPP here)' if not t['applicable'] else ''}"
+        )
     return "\n".join(lines) + "\n"
 
 

@@ -239,7 +239,13 @@ def parse(text: str) -> tuple[Model | None, list[Diagnostic]]:
 
 
 def _parse_tokens(text: str) -> tuple[Model | None, list[Diagnostic]]:
-    """`parse` by lexing and walking the tokens, with diagnostics."""
+    """`parse` by lexing and walking the tokens, with diagnostics.
+
+    Each grammar step is one `take`.  After the first error in a declaration,
+    the rest of it is skipped up to the next 'class', 'complete' or the end.
+    A repeated attribute is reported at its name; the rest of the pair list
+    is still read, and then the declaration is dropped.
+    """
     tokens, diags = _lex(text)
     decls: list[_Decl] = []
     i = 0
@@ -247,74 +253,57 @@ def _parse_tokens(text: str) -> tuple[Model | None, list[Diagnostic]]:
     def err(msg: str, tok: _Token) -> None:
         diags.append(Diagnostic("error", msg, tok.line, tok.col))
 
-    def recover() -> None:
+    def take(kind: str, expected: str) -> str | None:
+        """Consume the next token and return its text if it has this kind;
+        else report what was expected there and return None."""
         nonlocal i
-        while tokens[i].kind not in ("KW_CLASS", "KW_COMPLETE", "EOF"):
-            i += 1
+        tok = tokens[i]
+        if tok.kind != kind:
+            err(f"expected {expected}", tok)
+            return None
+        i += 1
+        return tok.text
+
+    def pair_list(cls: str) -> dict[str, str] | None:
+        """The attribute pairs up to the '}', or None after an error in them."""
+        nonlocal i
+        attrs: dict[str, str] = {}
+        ok = True
+        more = tokens[i].kind == "IDENT"
+        while more:
+            name = tokens[i]
+            if not (
+                take("IDENT", "attribute name")
+                and take("COLON", "':' after attribute name")
+                and (typ := take("IDENT", "type name"))
+            ):
+                return None
+            if name.text in attrs:
+                err(f"duplicate attribute {name.text!r} in declaration of {cls!r}", name)
+                ok = False
+            attrs[name.text] = typ
+            more = tokens[i].kind == "COMMA"
+            if more:
+                i += 1
+        return attrs if ok else None
 
     while tokens[i].kind != "EOF":
-        complete = False
-        if tokens[i].kind == "KW_COMPLETE":
-            complete = True
+        complete = tokens[i].kind == "KW_COMPLETE"
+        if complete:
             i += 1
-        if tokens[i].kind != "KW_CLASS":
-            err(f"expected 'class', found {tokens[i].text!r}", tokens[i])
+        if take("KW_CLASS", f"'class', found {tokens[i].text!r}") is None:
             if tokens[i].kind != "EOF":  # a trailing 'complete' leaves only EOF
                 i += 1
-            recover()
+        elif (
+            (cls := take("IDENT", "class name"))
+            and take("LBRACE", "'{'")
+            and (attrs := pair_list(cls)) is not None
+            and take("RBRACE", "'}'")
+        ):
+            decls.append(_Decl(cls, tuple(attrs.items()), complete))
             continue
-        i += 1
-        if tokens[i].kind != "IDENT":
-            err("expected class name", tokens[i])
-            recover()
-            continue
-        cls = tokens[i].text
-        i += 1
-        if tokens[i].kind != "LBRACE":
-            err("expected '{'", tokens[i])
-            recover()
-            continue
-        i += 1
-        attrs: dict[str, str] = {}
-        decl_ok = True
-        if tokens[i].kind == "IDENT":
-            while True:
-                if tokens[i].kind != "IDENT":
-                    err("expected attribute name", tokens[i])
-                    decl_ok = False
-                    break
-                attr_tok = tokens[i]
-                attr = attr_tok.text
-                i += 1
-                if tokens[i].kind != "COLON":
-                    err("expected ':' after attribute name", tokens[i])
-                    decl_ok = False
-                    break
-                i += 1
-                if tokens[i].kind != "IDENT":
-                    err("expected type name", tokens[i])
-                    decl_ok = False
-                    break
-                typ = tokens[i].text
-                i += 1
-                if attr in attrs:
-                    err(f"duplicate attribute {attr!r} in declaration of {cls!r}", attr_tok)
-                    decl_ok = False
-                else:
-                    attrs[attr] = typ
-                if tokens[i].kind == "COMMA":
-                    i += 1
-                    continue
-                break
-        if not decl_ok:
-            recover()
-            continue
-        if tokens[i].kind != "RBRACE":
-            err("expected '}'", tokens[i])
-            recover()
-            continue
-        i += 1
-        decls.append(_Decl(cls, tuple(attrs.items()), complete))
+        while tokens[i].kind not in ("KW_CLASS", "KW_COMPLETE", "EOF"):
+            i += 1
 
     if any(d.severity == "error" for d in diags):
         return None, diags

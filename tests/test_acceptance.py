@@ -12,6 +12,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 import modelalg
 from modelalg import (
@@ -26,6 +28,7 @@ from modelalg import (
     default_corpus,
     denotation,
     get_operator,
+    parse,
     quotient,
     render,
     semantically_eq,
@@ -37,6 +40,7 @@ from modelalg.report import report_to_json, report_to_text
 
 from .oracle import EnumOracle, parse_witness
 from .strategies import ATTRS, CLASSES, TINY_UNIVERSE, TYPES
+from .test_syntax import SOUP
 
 ALL_OPS = ("union", "strict", "override", "intersect", "paranoid")
 
@@ -353,3 +357,24 @@ def test_exhaustive_reports_match_frozen_reference(reference, bounds):
     got = _small_reports(modelalg, bounds)
     assert '"exhaustive": false' not in "".join(got)
     assert got == _small_reports(reference, bounds)
+
+
+# Whole declarations and their pieces, so that drawn texts also reach the pair
+# lists, the '}' check and the recovery after each kind of error.
+PARSE_FRAGMENTS = ("class P {", "complete class Q {", "a: T,", "a: T", "b: x_1,", "}", "class P { }", "a:", ",")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(SOUP + PARSE_FRAGMENTS)).map("".join))
+@example("class P { a: T, a: T, b T } x class Q { , } complete }")
+@example("class P { a: T, } class { } complete class Q { a: T b: T }")
+def test_parse_agrees_with_frozen_reference(reference, text):
+    try:
+        want_model, want_diags = reference.syntax.parse(text)
+    except IndexError:  # the reference's bug on a trailing 'complete'
+        reject()
+    model, diags = parse(text)
+    assert [str(d) for d in diags] == [str(d) for d in want_diags]
+    assert (model is None) == (want_model is None)
+    if model is not None:
+        assert [repr(c) for c in model.constraints] == [repr(c) for c in want_model.constraints]
