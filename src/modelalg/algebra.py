@@ -19,16 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .operators import Operator, get_operator
-from .semantics import Denotation, Universe, build_universe, denotation
-from .syntax import (
-    AttrComplete,
-    AttrTyped,
-    ClassExists,
-    Model,
-    _check_ident,
-    expand,
-    render,
-)
+from .semantics import Denotation, Universe, build_universe, count_text, denotation
+# render is not called here; perfbench/tracing.py times it under this name too
+from .syntax import AttrComplete, AttrTyped, ClassExists, Model, _check_ident, _lines, expand, render  # noqa: F401
 
 MAX_WITNESSES = 10
 TRIPLE_SAMPLES = 10_000
@@ -133,8 +126,8 @@ class StabilityReport:
 
 
 def _show(m: Model) -> str:
-    text = render(m).replace("\n", " ").strip()
-    return text or "<empty>"
+    """render(m) on one line, or "<empty>" for the empty model."""
+    return " ".join(_lines(m)) or "<empty>"
 
 
 class _Composer:
@@ -210,7 +203,8 @@ def _sample_triples(n: int, seed: int) -> tuple:
 
 
 def _pp_observed(c, a, b, ab, ba, dab, meet) -> str:
-    return f"|sm(op(m1,m2))|={dab.size}, |sm(m1)|={c.den(a).size}, |sm(m2)|={c.den(b).size}"
+    return (f"|sm(op(m1,m2))|={count_text(dab.size)}, |sm(m1)|={count_text(c.den(a).size)}, "
+            f"|sm(m2)|={count_text(c.den(b).size)}")
 
 
 # Table 1's pair properties as data: (property, whether it compares a pair with
@@ -227,17 +221,19 @@ TABLE1_PAIR_ROWS = (
      "sm(op(m1,m2)) is a subset of sm(m1) & sm(m2)", _pp_observed),
     ("FPP", False, lambda c, a, b, ab, ba, dab, meet: dab is not meet,
      "sm(op(m1,m2)) equals sm(m1) & sm(m2)",
-     lambda c, a, b, ab, ba, dab, meet: f"|sm(op(m1,m2))|={dab.size}, |sm(m1) & sm(m2)|={meet.size}"),
+     lambda c, a, b, ab, ba, dab, meet:
+     f"|sm(op(m1,m2))|={count_text(dab.size)}, |sm(m1) & sm(m2)|={count_text(meet.size)}"),
     ("CP", False, lambda c, a, b, ab, ba, dab, meet: dab.is_empty and not meet.is_empty,
      "sm(m1) & sm(m2) nonempty implies sm(op(m1,m2)) nonempty",
-     lambda c, a, b, ab, ba, dab, meet: f"|sm(m1) & sm(m2)|={meet.size}, |sm(op(m1,m2))|=0"),
+     lambda c, a, b, ab, ba, dab, meet: f"|sm(m1) & sm(m2)|={count_text(meet.size)}, |sm(op(m1,m2))|=0"),
     ("Com", True, lambda c, a, b, ab, ba, dab, meet: ab != ba,
      "op(m1,m2) syntactically equals op(m2,m1)",
      lambda c, a, b, ab, ba, dab, meet: f"op(m1,m2)={c.show(ab)}; op(m2,m1)={c.show(ba)}"),
     # equal ids denote the same canonical set, so this fails only where Com does
     ("Com_sm", True, lambda c, a, b, ab, ba, dab, meet: dab is not c.den(ba),
      "sm(op(m1,m2)) equals sm(op(m2,m1))",
-     lambda c, a, b, ab, ba, dab, meet: f"|sm(op(m1,m2))|={dab.size}, |sm(op(m2,m1))|={c.den(ba).size}"),
+     lambda c, a, b, ab, ba, dab, meet:
+     f"|sm(op(m1,m2))|={count_text(dab.size)}, |sm(op(m2,m1))|={count_text(c.den(ba).size)}"),
 )
 
 
@@ -297,7 +293,7 @@ def _check_associativity(comp: _Composer, seed: int) -> dict:
                 _keep(sem, lambda: Witness(
                     (comp.show(a), comp.show(b), comp.show(c)),
                     "sm(op(op(m1,m2),m3)) equals sm(op(m1,op(m2,m3)))",
-                    f"|left|={dl.size}, |right|={dr.size}"))
+                    f"|left|={count_text(dl.size)}, |right|={count_text(dr.size)}"))
     return {
         "Ass": _verdict("Ass", syn, checked, exhaustive),
         "Ass_sm": _verdict("Ass_sm", sem, checked, exhaustive),
@@ -340,7 +336,7 @@ def _check_element(comp: _Composer, e: int) -> dict:
                 if not comp.den(x) is comp.den(y) is comp.den(z):
                     _keep(fails[prop + "_comp"], lambda: Witness(
                         (comp.show(i), comp.show(e)), sem_relation,
-                        ", ".join([f"|sm({t})|={comp.den(terms[t]).size}" for t in names])))
+                        ", ".join([f"|sm({t})|={count_text(comp.den(terms[t]).size)}" for t in names])))
     return {p: _verdict(p, fails[p], len(comp.ids), True) for p in TABLE2_PROPS}
 
 
@@ -402,7 +398,7 @@ def _congruence(comp: _Composer, partition: Partition) -> Verdict:
                             (comp.show(ids[a]), comp.show(ids[b]), comp.show(ri), comp.show(rj)),
                             "sm(op(ma,mb)) equals sm(op(rep_i,rep_j)) for all"
                             " representatives ma, mb of the two classes",
-                            f"|sm(op(ma,mb))|={d.size}, |sm(op(rep_i,rep_j))|={dr.size}"))
+                            f"|sm(op(ma,mb))|={count_text(d.size)}, |sm(op(rep_i,rep_j))|={count_text(dr.size)}"))
     return _verdict("congruence", failures, checked, True)
 
 

@@ -51,7 +51,7 @@ def _load_model(path: str, listed: bool = False):
     """The model in the file, read as UTF-8 with universal newlines.  A path
     from the command line goes through Path, so that 'm.mcd/' names m.mcd."""
     try:
-        with open(path if listed else Path(path), "rb") as f:
+        with open(path if listed else Path(path), "rb", buffering=0) as f:
             text = f.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", 2) from exc
@@ -123,7 +123,7 @@ def cmd_sm(args) -> int:
         status = "consistent"
     lines = [f"{d.size} of {total}, {status}"]
     if args.list:
-        lines.extend(str(s) for s in d.systems())
+        lines.extend(d.system_texts())
     _emit("\n".join(lines) + "\n", args)
     return 0
 
@@ -262,8 +262,22 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """_parser().parse_args(argv), parsed by the command argv[0] names, to which
+    the full parser would hand every later argument; the full parser runs only
+    when argv[0] names no command or the command leaves arguments over."""
+    parser = _parser()
+    command = parser._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except CliError as exc:

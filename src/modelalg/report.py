@@ -5,6 +5,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii
 
 from .algebra import OperatorReport, Partition, StabilityReport, Verdict, _show
+from .semantics import count_text
 from .syntax import render
 
 
@@ -17,7 +18,7 @@ def report_to_dict(r: OperatorReport) -> dict:
             "classes": list(r.universe.class_pool),
             "attrs": list(r.universe.attr_pool),
             "types": list(r.universe.type_pool),
-            "system_count": r.universe.system_count,
+            "system_count": int(text) if (text := count_text(r.universe.system_count)).isdigit() else text,
         },
         "corpus": {
             "origin": r.corpus.origin,

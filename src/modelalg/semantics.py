@@ -29,6 +29,7 @@ DEFAULT_CAP = 1 << 20
 # counts up to this many digits are written out in full; CPython's default
 # limit on int-to-str conversion is the same
 EXACT_DIGITS = 4300
+_EXACT_BOUND = 10**EXACT_DIGITS
 # the class values of every state and of no state; singletons survive pickle and copy
 ANY, NONE = None, False
 
@@ -55,10 +56,16 @@ def _count_at_most(classes: int, attrs: int, types: int, bound: int) -> int | No
     return None if states is None else _bounded_pow(1 + states, classes, bound)
 
 
+def count_text(n: int) -> str:
+    """A count n >= 0 as witnesses, reports and messages write it: in decimal up to
+    EXACT_DIGITS digits, else "about 10^N" with N the floor of log10(n)."""
+    return str(n) if n < _EXACT_BOUND else f"about 10^{int(log10(n))}"
+
+
 def _count_text(classes: int, attrs: int, types: int) -> str:
-    """The system count of nonempty pools of these sizes in decimal, or
-    "about 10^N" beyond EXACT_DIGITS digits."""
-    bound = 10**EXACT_DIGITS - 1
+    """count_text of the system count of nonempty pools of these sizes,
+    without building the count past EXACT_DIGITS digits."""
+    bound = _EXACT_BOUND - 1
     count = _count_at_most(classes, attrs, types, bound)
     if count is not None:
         return str(count)
@@ -108,6 +115,7 @@ class Universe:
                 raise UniverseError(f"duplicate names in {kind} pool: {pool}")
         if self.cap is not None and self.count_at_most(self.cap) is None:
             raise UniverseCapError(self.sizes, self.cap, self)
+        self._meet_cache.update({ANY: {ANY: ANY}, NONE: {NONE: NONE}})  # see _intern
 
     @property
     def sizes(self) -> tuple[int, int, int]:
@@ -155,7 +163,7 @@ class Universe:
     def describe(self) -> str:
         return (
             f"{len(self.class_pool)} classes x {len(self.attr_pool)} attrs x "
-            f"{len(self.type_pool)} types ({self.system_count} systems)"
+            f"{len(self.type_pool)} types ({count_text(self.system_count)} systems)"
         )
 
 
@@ -183,15 +191,17 @@ class System:
         return idx
 
     def __str__(self) -> str:
-        u, parts = self.universe, []
-        for key in enumerate(self.states):  # (class index, state), rendered once per universe
-            text = u._text_cache.get(key)
-            if text is None:
-                cls, pairs = u.class_pool[key[0]], u.decode_class_state(key[1])
-                text = f"{cls} absent" if pairs is None else f"{cls}{{{', '.join(f'{a}: {t}' for a, t in pairs)}}}"
-                u._text_cache[key] = text
-            parts.append(text)
-        return "; ".join(parts)
+        return "; ".join([_state_text(self.universe, ci, s) for ci, s in enumerate(self.states)])
+
+
+def _state_text(u: Universe, ci: int, state: int) -> str:
+    """Pool class ci in this state as a listed system shows it; rendered once per universe."""
+    text = u._text_cache.get((ci, state))
+    if text is None:
+        cls, pairs = u.class_pool[ci], u.decode_class_state(state)
+        text = f"{cls} absent" if pairs is None else f"{cls}{{{', '.join(f'{a}: {t}' for a, t in pairs)}}}"
+        u._text_cache[ci, state] = text
+    return text
 
 
 def _intern(u: Universe, v):
@@ -232,23 +242,19 @@ def _value_states(u: Universe, v):
 
 @dataclass(frozen=True)
 class Denotation:
-    """A product of per-class state sets, one class value per pool class (see
-    the module docstring); the empty denotation is canonically all-NONE so
-    equality and hashing are structural."""
+    """A product of per-class state sets, one interned class value per pool
+    class (see the module docstring), built only by _canonical; the empty
+    denotation is canonically all-NONE so equality and hashing are structural."""
 
     universe: Universe
     class_values: tuple
-
-    def __post_init__(self):
-        values = (NONE,) * len(self.class_values) if NONE in self.class_values else self.class_values
-        object.__setattr__(self, "class_values", tuple(_intern(self.universe, v) for v in values))
 
     def __hash__(self) -> int:  # not the universe's: that would hash its pools
         return hash(self.class_values)
 
     @property
     def is_empty(self) -> bool:
-        return self.class_values[0] is NONE  # __post_init__ makes every value NONE if one is
+        return self.class_values[0] is NONE  # _canonical makes every value NONE if one is
 
     @property
     def is_full(self) -> bool:
@@ -287,12 +293,20 @@ class Denotation:
             values.append(a)
         return _canonical(u, values)
 
-    def _member_states(self):
-        """Member state tuples in the canonical enumeration order."""
+    def _member_states(self, texts: bool = False):
+        """Member state tuples, or with texts their per-class texts, in the canonical enumeration order."""
         if self.is_empty:
             return
-        _enumeration_guard(self.universe)
-        yield from itertools.product(*(_value_states(self.universe, v) for v in self.class_values))
+        u = self.universe
+        _enumeration_guard(u)
+        columns = [_value_states(u, v) for v in self.class_values]
+        if texts:
+            columns = [[_state_text(u, ci, s) for s in states] for ci, states in enumerate(columns)]
+        yield from itertools.product(*columns)
+
+    def system_texts(self):
+        """str(s) for s in self.systems(), without building the systems."""
+        return map("; ".join, self._member_states(texts=True))
 
     def indices(self):
         """Member system indices, ascending in the canonical enumeration order."""
@@ -325,8 +339,9 @@ def _canonical(u: Universe, values: list) -> Denotation:
     key = tuple(values)
     d = u._den_cache.get(key)
     if d is None:
-        d = Denotation(u, key)
-        d = u._den_cache[key] = u._den_cache.setdefault(d.class_values, d)
+        canon = (NONE,) * len(key) if NONE in key else key
+        d = u._den_cache.get(canon) or Denotation(u, canon)
+        u._den_cache[key] = u._den_cache[canon] = d
     return d
 
 

@@ -328,34 +328,25 @@ def _group(m: Model) -> list[_Decl]:
     re-introduces the implied ClassExists / AttrTyped constraints).
     """
     decls: list[_Decl] = []
-    cur_cls: str | None = None
-    cur_attrs: list[tuple[str, str]] = []
-    open_decl = False
-
-    def close() -> None:
-        nonlocal open_decl
-        if open_decl:
-            decls.append(_Decl(cur_cls, tuple(cur_attrs), False))
-            open_decl = False
-
+    cls, attrs = None, None  # the open declaration's class and {attribute: type}, if one is open
     for c in m.constraints:
-        if isinstance(c, ClassExists):
-            close()
-            cur_cls, cur_attrs, open_decl = c.cls, [], True
-        elif isinstance(c, AttrTyped):
-            if open_decl and cur_cls == c.cls and all(a != c.attr for a, _ in cur_attrs):
-                cur_attrs.append((c.attr, c.type))
-            else:
-                close()
-                cur_cls, cur_attrs, open_decl = c.cls, [(c.attr, c.type)], True
-        else:  # AttrComplete
-            if open_decl and cur_cls == c.cls and tuple(cur_attrs) == c.attrs:
-                decls.append(_Decl(cur_cls, c.attrs, True))
-                open_decl = False
-            else:
-                close()
-                decls.append(_Decl(c.cls, c.attrs, True))
-    close()
+        if attrs is not None and c.cls == cls:
+            if isinstance(c, AttrTyped) and c.attr not in attrs:
+                attrs[c.attr] = c.type
+                continue
+            if isinstance(c, AttrComplete) and tuple(attrs.items()) == c.attrs:
+                decls.append(_Decl(cls, c.attrs, True))
+                attrs = None
+                continue
+        if attrs is not None:
+            decls.append(_Decl(cls, tuple(attrs.items()), False))
+        if isinstance(c, AttrComplete):
+            decls.append(_Decl(c.cls, c.attrs, True))
+            attrs = None
+        else:
+            cls, attrs = c.cls, {c.attr: c.type} if isinstance(c, AttrTyped) else {}
+    if attrs is not None:
+        decls.append(_Decl(cls, tuple(attrs.items()), False))
     return decls
 
 
@@ -366,11 +357,14 @@ def normalize(m: Model) -> Model:
     return Model(expand(_group(m)))
 
 
+def _lines(m: Model):
+    """The lines of render(m), one per declaration."""
+    for cls, attrs, complete in _group(m):
+        kw = "complete class" if complete else "class"
+        body = ", ".join([f"{a}: {t}" for a, t in attrs])
+        yield f"{kw} {cls} {{ {body} }}" if body else f"{kw} {cls} {{ }}"
+
+
 def render(m: Model) -> str:
     """Canonical source text; re-parses to normalize(m)."""
-    lines = []
-    for d in _group(m):
-        kw = "complete class" if d.complete else "class"
-        body = ", ".join(f"{a}: {t}" for a, t in d.attrs)
-        lines.append(f"{kw} {d.cls} {{ {body} }}" if body else f"{kw} {d.cls} {{ }}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join([line + "\n" for line in _lines(m)])

@@ -25,8 +25,10 @@ from modelalg import (
     denotation,
     generate_corpus,
     intersect_merge,
+    normalize,
     parse_strict,
     quotient,
+    render,
     stability_check,
     union_merge,
 )
@@ -44,6 +46,12 @@ from modelalg.algebra import (
 
 from .oracle import EnumOracle, parse_witness
 from .strategies import TINY_UNIVERSE, models
+
+@given(models)
+def test_show_is_render_on_one_line(m):
+    assert _show(m) == (render(m).replace("\n", " ").strip() or "<empty>")
+    assert parse_strict(render(m)) == normalize(m)
+
 
 SMALL_BOUNDS = CorpusBounds(("P",), ("n", "m"), ("S", "T"), include_complete=True)
 

@@ -140,6 +140,37 @@ def test_every_argv_keeps_the_exit_code_contract(workspace, argv):
     assert "Traceback" not in err, (argv, err)
 
 
+# --- the command's own parser ---------------------------------------------------
+
+
+def parsed(parse, argv):
+    """parse(argv)'s Namespace, or the exit code and the stdout and stderr
+    bytes with which argparse ended it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue().encode(), err.getvalue().encode()
+
+
+# help, a lone '--', an unknown command, arguments left over, an abbreviated
+# option and missing arguments
+PARSER_EDGES = (
+    [], ["-h"], ["--help"], ["compose", "-h"], ["--"], ["--", "sm", "name.mcd"], ["nope"], ["nope", "name.mcd"],
+    ["sm", "name.mcd", "age.mcd"], ["check", "eq", "name.mcd", "--list"], ["corpus", "extra"],
+    ["compose", "--oper", "union", "name.mcd", "age.mcd"], ["compose", "--o", "union", "name.mcd", "age.mcd"],
+    ["compose", "--", "name.mcd", "age.mcd", "--operator", "union"], ["compose", "--operator=union", "--", "-x", "y"],
+    ["sm"], ["check"], ["classify"], ["compose", "name.mcd", "age.mcd"], ["sm", "name.mcd", "--padding"],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.one_of(argvs(), st.sampled_from(PARSER_EDGES)))
+def test_command_parser_parses_as_the_full_parser(argv):
+    assert parsed(cli._parse, argv) == parsed(cli._parser().parse_args, argv)
+
+
 # --- one parser per process ---------------------------------------------------
 
 # (argv, exit code): a success of every subcommand, argparse errors, input

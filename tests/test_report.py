@@ -1,11 +1,13 @@
 import json
+import time
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from modelalg import Corpus, Verdict, Witness, build_universe, classify, parse_strict
-from modelalg.report import _write_json, report_to_dict, report_to_json
+from modelalg import Corpus, Verdict, Witness, build_universe, classify, default_corpus, parse_strict
+from modelalg.report import _write_json, report_to_dict, report_to_json, report_to_text
+from modelalg.semantics import count_text
 
 # every code point, lone surrogates included
 strings = st.text(st.characters(exclude_categories=()))
@@ -75,3 +77,16 @@ def test_report_written_as_its_plain_dict():
 def test_writer_rejects_what_reports_never_hold(value):
     with pytest.raises(TypeError):
         write(value)
+
+
+def test_reports_on_a_universe_whose_counts_pass_the_digit_limit():
+    corpus = default_corpus()
+    u = build_universe(corpus.models, 100, 100, 100, cap=None)
+    start = time.perf_counter()
+    rep = classify("union", corpus, u)
+    text, json_text = report_to_text(rep), report_to_json(rep)
+    assert time.perf_counter() - start < 2
+    total = count_text(u.system_count)
+    assert total.startswith("about 10^") and json.loads(json_text)["universe"]["system_count"] == total
+    assert f"({total} systems)" in text
+    assert "|=about 10^" in json_text  # the sizes of Table 2's semantic witnesses

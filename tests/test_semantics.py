@@ -36,7 +36,7 @@ from modelalg import (
 )
 from modelalg import OPERATORS, cli, default_corpus
 from modelalg.algebra import _flat_verdicts
-from modelalg.semantics import EXACT_DIGITS, NONE, _count_text
+from modelalg.semantics import EXACT_DIGITS, NONE, _count_text, count_text
 
 from .oracle import EnumOracle, enumerate_systems, naive_denotation, satisfies, to_bitset
 from .strategies import ATTRS, CLASSES, PADDED_UNIVERSE, TINY_UNIVERSE, TYPES, constraints, models
@@ -129,6 +129,16 @@ def test_count_text_exponent_from_the_pool_sizes_alone(attrs, classes):
         text = _count_text(classes, attrs, types)
         if text.startswith("about"):
             assert text == f"about 10^{int(classes * log10(1 + (types + 1) ** attrs))}"
+
+
+def test_count_text_writes_counts_past_the_digit_limit_as_a_power_of_ten():
+    assert count_text(0) == "0"
+    assert count_text(10**EXACT_DIGITS - 1) == "9" * EXACT_DIGITS
+    assert count_text(10**EXACT_DIGITS) == f"about 10^{EXACT_DIGITS}"
+    assert count_text(3 * 10**20000 + 7) == "about 10^20000"
+    u = Universe(*_pools(1000, 20, 3), cap=None)
+    assert u.describe() == f"1000 classes x 20 attrs x 3 types ({count_text(u.system_count)} systems)"
+    assert count_text(u.system_count) == u.count_text() == "about 10^12041"
 
 
 def test_astronomical_cap_refusal_builds_no_huge_count():
@@ -562,6 +572,17 @@ def test_sm_list_prints_the_oracle_enumeration(tmp_path, capsys):
         assert lines == want
         listed += len(lines)
     assert listed > 10**4
+
+
+def test_sm_list_writes_str_of_each_listed_system(tmp_path, capsys):
+    models = default_corpus().models
+    assert any(not is_consistent(m, build_universe([m])) for m in models)
+    for i, m in enumerate(models):
+        path = tmp_path / f"m{i}.mcd"
+        path.write_text(render(m), encoding="utf-8")
+        assert cli.main(["sm", "--list", str(path)]) == 0
+        _, *lines = capsys.readouterr().out.splitlines()
+        assert lines == [str(s) for s in denotation(m, build_universe([m])).systems()]
 
 
 def test_cap_free_universe_of_a_hundred_fresh_names_each():
