@@ -1,9 +1,9 @@
 """The property checker: classifies a composition operator against every row
-of the composition-property table (Table 1: the `TABLE1_PAIR_ROWS`, evaluated
-in one row-major pass over the corpus pairs, and associativity) and the
-special-elements table (`TABLE2`), audits the tables' dependency columns,
-builds the semantic quotient of a corpus, and checks that composition is a
-congruence for it.
+of the composition-property table (Table 1: the set relations of
+`TABLE1_PAIR_ROWS` and the coincidences `Com` and `Ass`) and the
+special-elements table (`TABLE2`, all coincidences), audits the tables'
+dependency columns, builds the semantic quotient of a corpus, and checks that
+composition is a congruence for it.
 
 All verdicts are relative to a finite corpus and universe: a false verdict is
 definitive and carries witnesses; a true verdict means "no counterexample in
@@ -21,18 +21,45 @@ from functools import lru_cache
 from .operators import Operator, get_operator
 from .semantics import Denotation, Universe, build_universe, count_text, denotation
 # render is not called here; perfbench/tracing.py times it under this name too
-from .syntax import AttrComplete, AttrTyped, ClassExists, Model, _check_ident, _lines, expand, render  # noqa: F401
+from .syntax import AttrComplete, AttrTyped, ClassExists, Model, _check_ident, _show, expand, render  # noqa: F401
 
-MAX_WITNESSES = 10
+MAX_WITNESSES = 10  # a verdict keeps its first failures' witnesses, and builds no other
 TRIPLE_SAMPLES = 10_000
 EXHAUSTIVE_TRIPLE_LIMIT = 20
 
-TABLE1_PROPS = ("PP_l", "PP_r", "PP", "FPP", "CP", "Com", "Ass", "Com_sm", "Ass_sm")
 
-# Table 2 as data.  Each row names a special-element relation and the terms,
-# built from a corpus model m1 and the candidate element m, that must all
-# coincide.  Every row is checked syntactically (as the row's property) and
-# semantically (as its "_comp" twin).
+def _pp_observed(c, a, b, dab, meet) -> str:
+    return (f"|sm(op(m1,m2))|={count_text(dab.size)}, |sm(m1)|={count_text(c.den(a).size)}, "
+            f"|sm(m2)|={count_text(c.den(b).size)}")
+
+
+# Table 1's set relations as data: (property, failure predicate, relation text,
+# observed text).  The predicate and the observed text take a pair's terms: the
+# composer c, the ids a and b, dab = sm(op(a,b)) and meet = sm(a) & sm(b).
+TABLE1_PAIR_ROWS = (
+    ("PP_l", lambda c, a, b, dab, meet: not dab.issubset(c.den(a)),
+     "sm(op(m1,m2)) is a subset of sm(m1)", _pp_observed),
+    ("PP_r", lambda c, a, b, dab, meet: not dab.issubset(c.den(b)),
+     "sm(op(m1,m2)) is a subset of sm(m2)", _pp_observed),
+    ("PP", lambda c, a, b, dab, meet: not dab.issubset(meet),
+     "sm(op(m1,m2)) is a subset of sm(m1) & sm(m2)", _pp_observed),
+    ("FPP", lambda c, a, b, dab, meet: dab is not meet,
+     "sm(op(m1,m2)) equals sm(m1) & sm(m2)",
+     lambda c, a, b, dab, meet:
+     f"|sm(op(m1,m2))|={count_text(dab.size)}, |sm(m1) & sm(m2)|={count_text(meet.size)}"),
+    ("CP", lambda c, a, b, dab, meet: dab.is_empty and not meet.is_empty,
+     "sm(m1) & sm(m2) nonempty implies sm(op(m1,m2)) nonempty",
+     lambda c, a, b, dab, meet: f"|sm(m1) & sm(m2)|={count_text(meet.size)}, |sm(op(m1,m2))|=0"),
+)
+
+# Coincidences as data: a relation and the terms, built from corpus models m1,
+# m2, m3 or from a corpus model m1 and a candidate element m, that must all
+# coincide, checked syntactically (as the row's property) and semantically (as
+# its "_sm" or "_comp" twin).  A third entry names the terms in witnesses.
+TABLE1_COINCIDENCES = (
+    ("Com", ("op(m1,m2)", "op(m2,m1)")),
+    ("Ass", ("op(op(m1,m2),m3)", "op(m1,op(m2,m3))"), ("left", "right")),
+)
 TABLE2 = (
     ("Rn", ("op(m1,m)", "m1")),
     ("Ln", ("op(m,m1)", "m1")),
@@ -44,29 +71,56 @@ TABLE2 = (
     ("Li", ("op(m,op(m,m1))", "op(m1,m)")),  # as printed in the paper, not op(m,m1)
     ("I", ("op(m,op(m,m1))", "op(op(m1,m),m)", "op(m1,m)")),
 )
-TABLE2_PROPS = tuple(p for p, _ in TABLE2) + tuple(p + "_comp" for p, _ in TABLE2)
+
+
+def _compile(prop: str, twin: str, terms: tuple[str, ...], labels=None) -> tuple:
+    """A coincidence row as the checks use it: property, twin, terms, the terms
+    compared (a two-term row repeats its last term), the relation texts, and the
+    observed texts of a witness and of a twin witness, given the terms' ids."""
+    sm = [f"sm({t})" for t in terms]
+    if len(terms) == 2:
+        relations = f"{terms[0]} syntactically equals {terms[1]}", f"{sm[0]} equals {sm[1]}"
+    else:
+        relations = " = ".join(terms) + " syntactically", " = ".join(sm)
+    names, sizes = (labels, labels) if labels else (terms, sm)
+    shown = [(k, name) for k, (t, name) in enumerate(zip(terms, names)) if t.startswith("op(")]
+    return (prop, twin, terms, (*terms, terms[-1])[:3], *relations,
+            lambda c, ids: "; ".join([f"{name}={c.show(ids[k])}" for k, name in shown]),
+            lambda c, ids: ", ".join([f"|{size}|={count_text(c.den(x).size)}" for size, x in zip(sizes, ids)]))
+
+
+def _props(rows) -> tuple:
+    return (*(row[0] for row in rows), *(row[1] for row in rows))
+
+
+def _twins(rows) -> tuple:  # a coincidence implies its twin: equal ids denote the same set
+    return tuple(((row[0],), "=>", row[1]) for row in rows)
+
+
+_COM, _ASS = _TABLE1_ROWS = tuple(_compile(p, p + "_sm", *rest) for p, *rest in TABLE1_COINCIDENCES)
+_ELEMENT_ROWS = tuple(_compile(p, p + "_comp", terms) for p, terms in TABLE2)
+TABLE1_PROPS = (*(row[0] for row in TABLE1_PAIR_ROWS), *_props(_TABLE1_ROWS))
+TABLE2_PROPS = _props(_ELEMENT_ROWS)
 
 # Table 1's dependency column: (premises, connective, conclusion).
 TABLE1_DEPENDENCIES = (
     (("PP_l", "PP_r"), "<=>", "PP"),
     (("FPP",), "=>", "PP"),
     (("FPP",), "=>", "CP"),
-    (("Com",), "=>", "Com_sm"),
-    (("Ass",), "=>", "Ass_sm"),
+    *_twins(_TABLE1_ROWS),
 )
 
-# Table 2's dependency column, generated from TABLE2: a three-term relation
+# Table 2's dependency column, generated from its rows: a three-term relation
 # holds exactly when the two-term relations over its terms do, syntactically
-# and semantically, and a syntactic relation implies its semantic twin.
+# (k = 0) and semantically (k = 1), and a syntactic relation implies its twin.
 _IFFS = [
-    (tuple(p for p, pair in TABLE2 if len(pair) == 2 and set(pair) <= set(terms)), prop)
-    for prop, terms in TABLE2
-    if len(terms) == 3
+    ([r for r in _ELEMENT_ROWS if len(r[2]) == 2 and set(r[2]) <= set(row[2])], row)
+    for row in _ELEMENT_ROWS
+    if len(row[2]) == 3
 ]
 TABLE2_DEPENDENCIES = (
-    *((pre, "<=>", prop) for pre, prop in _IFFS),
-    *((tuple(p + "_comp" for p in pre), "<=>", prop + "_comp") for pre, prop in _IFFS),
-    *(((p,), "=>", p + "_comp") for p, _ in TABLE2),
+    *((tuple(r[k] for r in pre), "<=>", row[k]) for k in (0, 1) for pre, row in _IFFS),
+    *_twins(_ELEMENT_ROWS),
 )
 
 
@@ -125,11 +179,6 @@ class StabilityReport:
     differing: tuple[str, ...]
 
 
-def _show(m: Model) -> str:
-    """render(m) on one line, or "<empty>" for the empty model."""
-    return " ".join(_lines(m)) or "<empty>"
-
-
 class _Composer:
     """The context of one check: an operator (given by name or as a callable)
     over a corpus and a universe, on interned models.  Each distinct model is
@@ -179,16 +228,21 @@ class _Composer:
         return t
 
 
-def _keep(witnesses: list, make) -> None:
-    """Record one failing tuple.  Its witness is built, by make(), only while
-    the verdict keeps fewer than MAX_WITNESSES, so the kept witnesses are the
-    first failures in iteration order and no other witness is built."""
-    if len(witnesses) < MAX_WITNESSES:
-        witnesses.append(make())
-
-
 def _verdict(prop, witnesses, checked, exhaustive) -> Verdict:
     return Verdict(prop, not witnesses, tuple(witnesses), exhaustive, checked)
+
+
+def _mismatch(comp: _Composer, row: tuple, fails: dict, models: tuple, ids: tuple) -> None:
+    """Record models (ids `models`) on which a coincidence row's terms (ids
+    `ids`, two or three) do not share one id: the row fails there, and so does
+    its twin where the canonical denotations differ too (equal ids denote the
+    same set).  Witnesses are built only while a verdict keeps fewer than
+    MAX_WITNESSES, and no closure is made per failing tuple."""
+    prop, twin, _, _, relation, twin_relation, observed, twin_observed = row
+    if len(fails[prop]) < MAX_WITNESSES:
+        fails[prop].append(Witness(tuple(map(comp.show, models)), relation, observed(comp, ids)))
+    if not comp.den(ids[0]) is comp.den(ids[1]) is comp.den(ids[-1]) and len(fails[twin]) < MAX_WITNESSES:
+        fails[twin].append(Witness(tuple(map(comp.show, models)), twin_relation, twin_observed(comp, ids)))
 
 
 @lru_cache(maxsize=8)
@@ -202,55 +256,22 @@ def _sample_triples(n: int, seed: int) -> tuple:
 # --- table 1 ---------------------------------------------------------------
 
 
-def _pp_observed(c, a, b, ab, ba, dab, meet) -> str:
-    return (f"|sm(op(m1,m2))|={count_text(dab.size)}, |sm(m1)|={count_text(c.den(a).size)}, "
-            f"|sm(m2)|={count_text(c.den(b).size)}")
-
-
-# Table 1's pair properties as data: (property, whether it compares a pair with
-# its swap and so sees each unordered pair once, as i < j, failure predicate,
-# relation text, observed text).  The predicate and the observed text take a
-# pair's terms: the composer c, the ids a and b, ab = op(a,b), ba = op(b,a),
-# dab = sm(ab) and meet = sm(a) & sm(b).
-TABLE1_PAIR_ROWS = (
-    ("PP_l", False, lambda c, a, b, ab, ba, dab, meet: not dab.issubset(c.den(a)),
-     "sm(op(m1,m2)) is a subset of sm(m1)", _pp_observed),
-    ("PP_r", False, lambda c, a, b, ab, ba, dab, meet: not dab.issubset(c.den(b)),
-     "sm(op(m1,m2)) is a subset of sm(m2)", _pp_observed),
-    ("PP", False, lambda c, a, b, ab, ba, dab, meet: not dab.issubset(meet),
-     "sm(op(m1,m2)) is a subset of sm(m1) & sm(m2)", _pp_observed),
-    ("FPP", False, lambda c, a, b, ab, ba, dab, meet: dab is not meet,
-     "sm(op(m1,m2)) equals sm(m1) & sm(m2)",
-     lambda c, a, b, ab, ba, dab, meet:
-     f"|sm(op(m1,m2))|={count_text(dab.size)}, |sm(m1) & sm(m2)|={count_text(meet.size)}"),
-    ("CP", False, lambda c, a, b, ab, ba, dab, meet: dab.is_empty and not meet.is_empty,
-     "sm(m1) & sm(m2) nonempty implies sm(op(m1,m2)) nonempty",
-     lambda c, a, b, ab, ba, dab, meet: f"|sm(m1) & sm(m2)|={count_text(meet.size)}, |sm(op(m1,m2))|=0"),
-    ("Com", True, lambda c, a, b, ab, ba, dab, meet: ab != ba,
-     "op(m1,m2) syntactically equals op(m2,m1)",
-     lambda c, a, b, ab, ba, dab, meet: f"op(m1,m2)={c.show(ab)}; op(m2,m1)={c.show(ba)}"),
-    # equal ids denote the same canonical set, so this fails only where Com does
-    ("Com_sm", True, lambda c, a, b, ab, ba, dab, meet: dab is not c.den(ba),
-     "sm(op(m1,m2)) equals sm(op(m2,m1))",
-     lambda c, a, b, ab, ba, dab, meet:
-     f"|sm(op(m1,m2))|={count_text(dab.size)}, |sm(op(m2,m1))|={count_text(c.den(ba).size)}"),
-)
-
-
 def _check_pairs(comp: _Composer) -> dict:
-    """Every TABLE1_PAIR_ROWS verdict, from one row-major pass over the corpus pairs."""
+    """Every TABLE1_PAIR_ROWS verdict and Com's, from one row-major pass over the corpus pairs."""
     n = len(comp.ids)
-    fails: dict[str, list[Witness]] = {row[0]: [] for row in TABLE1_PAIR_ROWS}
+    fails: dict[str, list[Witness]] = {p: [] for p in TABLE1_PROPS}
     for i, a in enumerate(comp.ids):
         for j, b in enumerate(comp.ids):
-            ab, ba = comp(a, b), comp(b, a)
+            ab = comp(a, b)
             dab, meet = comp.den(ab), comp.den(a) & comp.den(b)
-            for prop, swapped, failed, relation, observed in TABLE1_PAIR_ROWS:
-                if (i < j or not swapped) and failed(comp, a, b, ab, ba, dab, meet):
-                    _keep(fails[prop], lambda: Witness(
-                        (comp.show(a), comp.show(b)), relation, observed(comp, a, b, ab, ba, dab, meet)))
-    return {prop: _verdict(prop, fails[prop], n * (n - 1) // 2 if swapped else n * n, True)
-            for prop, swapped, *_ in TABLE1_PAIR_ROWS}
+            for prop, failed, relation, observed in TABLE1_PAIR_ROWS:
+                if failed(comp, a, b, dab, meet) and len(fails[prop]) < MAX_WITNESSES:
+                    fails[prop].append(Witness(
+                        (comp.show(a), comp.show(b)), relation, observed(comp, a, b, dab, meet)))
+            if i < j and ab != (ba := comp(b, a)):
+                _mismatch(comp, _COM, fails, (a, b), (ab, ba))
+    return {**{prop: _verdict(prop, fails[prop], n * n, True) for prop, *_ in TABLE1_PAIR_ROWS},
+            **{p: _verdict(p, fails[p], n * (n - 1) // 2, True) for p in _COM[:2]}}
 
 
 def _check_pp(comp: _Composer) -> dict:
@@ -278,46 +299,17 @@ def _check_associativity(comp: _Composer, seed: int) -> dict:
     else:
         triples = _sample_triples(n, seed)
         exhaustive, checked = False, TRIPLE_SAMPLES
-    syn, sem = [], []
+    fails: dict[str, list[Witness]] = {p: [] for p in _ASS[:2]}
     for i, j, k in triples:
         a, b, c = ids[i], ids[j], ids[k]
         left = comp(comp(a, b), c)
         right = comp(a, comp(b, c))
         if left != right:
-            _keep(syn, lambda: Witness(
-                (comp.show(a), comp.show(b), comp.show(c)),
-                "op(op(m1,m2),m3) syntactically equals op(m1,op(m2,m3))",
-                f"left={comp.show(left)}; right={comp.show(right)}"))
-            dl, dr = comp.den(left), comp.den(right)
-            if dl is not dr:
-                _keep(sem, lambda: Witness(
-                    (comp.show(a), comp.show(b), comp.show(c)),
-                    "sm(op(op(m1,m2),m3)) equals sm(op(m1,op(m2,m3)))",
-                    f"|left|={count_text(dl.size)}, |right|={count_text(dr.size)}"))
-    return {
-        "Ass": _verdict("Ass", syn, checked, exhaustive),
-        "Ass_sm": _verdict("Ass_sm", sem, checked, exhaustive),
-    }
+            _mismatch(comp, _ASS, fails, (a, b, c), (left, right))
+    return {p: _verdict(p, fails[p], checked, exhaustive) for p in _ASS[:2]}
 
 
 # --- table 2 ---------------------------------------------------------------
-
-
-def _element_row(prop: str, terms: tuple[str, ...]) -> tuple:
-    """A TABLE2 row as _check_element uses it: the terms, the terms compared
-    (a two-term row repeats its last term, so that every row compares three),
-    the composition terms a syntactic witness shows, and the syntactic and
-    semantic relation texts."""
-    sm = [f"sm({t})" for t in terms]
-    if len(terms) == 2:
-        relations = f"{terms[0]} syntactically equals {terms[1]}", f"{sm[0]} equals {sm[1]}"
-    else:
-        relations = " = ".join(terms) + " syntactically", " = ".join(sm)
-    shown = [t for t in terms if t.startswith("op(")]
-    return prop, terms, (*terms, terms[-1])[:3], shown, *relations
-
-
-_ELEMENT_ROWS = [_element_row(prop, terms) for prop, terms in TABLE2]
 
 
 def _check_element(comp: _Composer, e: int) -> dict:
@@ -327,16 +319,12 @@ def _check_element(comp: _Composer, e: int) -> dict:
         rm, lm = comp(i, e), comp(e, i)
         terms = {"m1": i, "m": e, "op(m1,m)": rm, "op(m,m1)": lm,
                  "op(op(m1,m),m)": comp(rm, e), "op(m,op(m,m1))": comp(e, lm)}
-        for prop, names, (a, b, c), shown, syn_relation, sem_relation in _ELEMENT_ROWS:
+        models = (i, e)
+        for row in _ELEMENT_ROWS:
+            a, b, c = row[3]  # the terms compared
             x, y, z = terms[a], terms[b], terms[c]
             if not x == y == z:
-                _keep(fails[prop], lambda: Witness(
-                    (comp.show(i), comp.show(e)), syn_relation,
-                    "; ".join([f"{t}={comp.show(terms[t])}" for t in shown])))
-                if not comp.den(x) is comp.den(y) is comp.den(z):
-                    _keep(fails[prop + "_comp"], lambda: Witness(
-                        (comp.show(i), comp.show(e)), sem_relation,
-                        ", ".join([f"|sm({t})|={count_text(comp.den(terms[t]).size)}" for t in names])))
+                _mismatch(comp, row, fails, models, (x, y, z))
     return {p: _verdict(p, fails[p], len(comp.ids), True) for p in TABLE2_PROPS}
 
 
@@ -393,8 +381,8 @@ def _congruence(comp: _Composer, partition: Partition) -> Verdict:
                 for b in cj:
                     checked += 1
                     d = comp.den(comp(ids[a], ids[b]))
-                    if d is not dr:
-                        _keep(failures, lambda: Witness(
+                    if d is not dr and len(failures) < MAX_WITNESSES:
+                        failures.append(Witness(
                             (comp.show(ids[a]), comp.show(ids[b]), comp.show(ri), comp.show(rj)),
                             "sm(op(ma,mb)) equals sm(op(rep_i,rep_j)) for all"
                             " representatives ma, mb of the two classes",
@@ -587,13 +575,14 @@ def _flat_verdicts(report: OperatorReport) -> dict[str, bool]:
 
 
 def stability_check(op_id: str, corpus: Corpus, seed: int = 42) -> StabilityReport:
-    """Re-classify under 1/1/1 and 2/2/2 fresh-name padding and compare every
-    boolean verdict.  The padded universe needs no cap: class values do not
-    grow with the pools.  Both have an attribute no model names, so no
-    boolean verdict can differ (see `semantics`)."""
+    """Re-classify under 1/0/1 and 1/1/1 fresh-name padding and compare every
+    boolean verdict: past one unnamed pool attribute, no verdict depends on the
+    pool sizes (see `semantics`).  A corpus that names no attribute has no
+    padding-0 universe, and is stable: it has an unnamed attribute at any padding."""
     u1 = build_universe(corpus.models, 1, 1, 1)
-    u2 = build_universe(corpus.models, 2, 2, 2, cap=None)
+    if len(u1.attr_pool) == 1:  # only the fresh attribute
+        return StabilityReport(op_id, True, ())
+    f0 = _flat_verdicts(classify(op_id, corpus, build_universe(corpus.models, 1, 0, 1), seed))
     f1 = _flat_verdicts(classify(op_id, corpus, u1, seed))
-    f2 = _flat_verdicts(classify(op_id, corpus, u2, seed))
-    differing = tuple(sorted(k for k in f1 if f1[k] != f2[k]))
+    differing = tuple(sorted(k for k in f0 if f0[k] != f1[k]))
     return StabilityReport(op_id, not differing, differing)

@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, universe=False, seed=True)
     p.set_defaults(func=cmd_corpus)
 
-    p = subs.add_parser("stability", help="compare verdicts under 1/1/1 and 2/2/2 padding")
+    p = subs.add_parser("stability", help="compare verdicts under 1/0/1 and 1/1/1 padding")
     p.add_argument("--operator", required=True, choices=sorted(OPERATORS))
     _add_common(p, universe=False, corpus=True)
     p.set_defaults(func=cmd_stability)

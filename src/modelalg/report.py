@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
 
-from .algebra import OperatorReport, Partition, StabilityReport, Verdict, _show
+from .algebra import OperatorReport, Partition, StabilityReport, Verdict
 from .semantics import count_text
-from .syntax import render
+from .syntax import _show, render
 
 
 def report_to_dict(r: OperatorReport) -> dict:

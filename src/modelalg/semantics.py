@@ -139,10 +139,6 @@ class Universe:
         """system_count if it is at most bound, else None."""
         return _count_at_most(*self.sizes, bound)
 
-    def count_text(self) -> str:
-        """system_count in decimal, or "about 10^N" beyond EXACT_DIGITS digits."""
-        return _count_text(*self.sizes)
-
     def class_index(self, name: str) -> int:
         try:
             return self.class_pool.index(name)
@@ -410,20 +406,20 @@ def build_universe(
     return Universe(tuple(classes), tuple(attrs), tuple(types), cap=cap)
 
 
-def universe_from_spec(spec: dict, cap: int | None = DEFAULT_CAP) -> Universe:
+def universe_from_spec(spec: dict) -> Universe:
     pools = [spec.get(k) for k in ("classes", "attrs", "types")] if isinstance(spec, dict) else [None]
     if not all(isinstance(pool, list) for pool in pools):
         raise UniverseError("universe spec needs 'classes', 'attrs' and 'types' lists")
     for name in itertools.chain(*pools):
         if not isinstance(name, str) or not IDENT_RE.match(name):
             raise UniverseError(f"invalid name in universe spec: {name!r}")
-    return Universe(*pools, cap=cap)
+    return Universe(*pools)
 
 
-def load_universe(path, cap: int | None = DEFAULT_CAP) -> Universe:
+def load_universe(path) -> Universe:
     with open(path, encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
         except ValueError as exc:  # malformed JSON or text
             raise UniverseError(f"universe spec {path} is not valid JSON: {exc}") from None
-    return universe_from_spec(spec, cap=cap)
+    return universe_from_spec(spec)

@@ -368,3 +368,8 @@ def _lines(m: Model):
 def render(m: Model) -> str:
     """Canonical source text; re-parses to normalize(m)."""
     return "".join([line + "\n" for line in _lines(m)])
+
+
+def _show(m: Model) -> str:
+    """render(m) on one line, or "<empty>" for the empty model."""
+    return " ".join(_lines(m)) or "<empty>"

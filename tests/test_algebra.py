@@ -41,8 +41,8 @@ from modelalg.algebra import (
     Verdict,
     Witness,
     _implication_audit,
-    _show,
 )
+from modelalg.syntax import _show
 
 from .oracle import EnumOracle, parse_witness
 from .strategies import TINY_UNIVERSE, models
@@ -343,16 +343,54 @@ def test_composer_denotations_are_canonical(corpus_models, op):
             assert all((meet is comp.den(k)) == (meet == comp.den(k)) for k in ids)
 
 
-def test_associativity_denotes_nothing_where_the_ids_agree(monkeypatch):
+def _element_terms(comp, m1: int, m: int) -> dict:
+    """The ids of Table 2's terms for corpus model m1 and element m."""
+    return {"m1": m1, "m": m, "op(m1,m)": comp(m1, m), "op(m,m1)": comp(m, m1),
+            "op(op(m1,m),m)": comp(comp(m1, m), m), "op(m,op(m,m1))": comp(m, comp(m, m1))}
+
+
+@pytest.mark.parametrize("op", ("union", "strict"))
+def test_coincidences_denote_nothing_where_the_ids_agree(monkeypatch, op):
     corpus = default_corpus()
-    comp = algebra._Composer("union", corpus, build_universe(corpus.models))
+    comp = algebra._Composer(op, corpus, build_universe(corpus.models))
+    ids = comp.ids
     algebra._check_pp(comp)  # denotes the corpus and its pairwise compositions
     calls = []
     real = algebra.denotation
     monkeypatch.setattr(algebra, "denotation", lambda m, u: calls.append(m) or real(m, u))
+    # every denotation a coincidence check asks for is asked inside its one
+    # failure path, and that path sees exactly the tuples whose ids differ
+    seen, inside, outside = [], [], []
+    mismatch, den = algebra._mismatch, comp.den
+
+    def recorded(comp, row, fails, models, terms):
+        # Table 2 hands a two-term row's terms with the last one repeated
+        seen.append((row[0], models, terms[:len(row[2])]))
+        inside.append(row)
+        mismatch(comp, row, fails, models, terms)
+        inside.pop()
+
+    monkeypatch.setattr(algebra, "_mismatch", recorded)
+    monkeypatch.setattr(comp, "den", lambda i: den(i) if inside else outside.append(i) or den(i))
     verdicts = algebra._check_associativity(comp, 42)
-    assert verdicts["Ass"].holds and verdicts["Ass"].checked == 10_000
-    assert calls == []
+    assert verdicts["Ass"].checked == 10_000
+    assert verdicts["Ass"].holds == (op == "union") == (calls == [])
+    expected = []
+    for i, j, k in algebra._sample_triples(len(ids), 42):
+        a, b, c = ids[i], ids[j], ids[k]
+        if (left := comp(comp(a, b), c)) != (right := comp(a, comp(b, c))):
+            expected.append(("Ass", (a, b, c), (left, right)))
+    for e in ids:
+        algebra._check_element(comp, e)
+        for m1 in ids:
+            terms = _element_terms(comp, m1, e)
+            expected += [(prop, (m1, e), tuple(terms[t] for t in names))
+                         for prop, names in algebra.TABLE2 if len({terms[t] for t in names}) > 1]
+    assert outside == []
+    algebra._check_commutativity(comp)  # its set rows denote every pair
+    expected += [("Com", (a, b), (comp(a, b), comp(b, a)))
+                 for i, a in enumerate(ids) for b in ids[i + 1:] if comp(a, b) != comp(b, a)]
+    assert seen == expected
 
 
 def _first(witnesses: list, make) -> None:
@@ -390,16 +428,20 @@ def _eager_element(comp, e: int) -> dict:
     and compared structurally."""
     fails = {p: [] for p in TABLE2_PROPS}
     for i in comp.ids:
-        rm, lm = comp(i, e), comp(e, i)
-        terms = {"m1": i, "m": e, "op(m1,m)": rm, "op(m,m1)": lm,
-                 "op(op(m1,m),m)": comp(rm, e), "op(m,op(m,m1))": comp(e, lm)}
+        terms = _element_terms(comp, i, e)
         dens = {t: denotation(comp.models[x], comp.u) for t, x in terms.items()}
-        for prop, names, (a, b, c), shown, syn_relation, sem_relation in algebra._ELEMENT_ROWS:
-            if not terms[a] == terms[b] == terms[c]:
+        for prop, names in algebra.TABLE2:
+            if len(names) == 2:
+                syn_relation = f"{names[0]} syntactically equals {names[1]}"
+                sem_relation = f"sm({names[0]}) equals sm({names[1]})"
+            else:
+                syn_relation = f"{names[0]} = {names[1]} = {names[2]} syntactically"
+                sem_relation = f"sm({names[0]}) = sm({names[1]}) = sm({names[2]})"
+            if len({terms[t] for t in names}) > 1:
                 _first(fails[prop], lambda: Witness(
                     (comp.show(i), comp.show(e)), syn_relation,
-                    "; ".join(f"{t}={comp.show(terms[t])}" for t in shown)))
-            if not dens[a] == dens[b] == dens[c]:
+                    "; ".join(f"{t}={comp.show(terms[t])}" for t in names if t.startswith("op("))))
+            if any(dens[t] != dens[names[0]] for t in names):
                 _first(fails[prop + "_comp"], lambda: Witness(
                     (comp.show(i), comp.show(e)), sem_relation,
                     ", ".join(f"|sm({t})|={dens[t].size}" for t in names)))
@@ -468,8 +510,12 @@ def test_lazy_checks_equal_eager_reference(op, corpus):
 
 
 def test_property_tables_are_consistent():
-    props = [row[0] for row in algebra.TABLE1_PAIR_ROWS] + ["Ass", "Ass_sm"]
-    assert len(props) == len(set(props)) and set(props) == set(TABLE1_PROPS)
+    # set rows, then coincidences, then their twins
+    coincidences = [row[0] for row in algebra.TABLE1_COINCIDENCES]
+    assert TABLE1_PROPS == (*(row[0] for row in algebra.TABLE1_PAIR_ROWS),
+                            *coincidences, *(p + "_sm" for p in coincidences))
+    assert TABLE2_PROPS == (*(p for p, _ in algebra.TABLE2), *(p + "_comp" for p, _ in algebra.TABLE2))
+    assert len(TABLE1_PROPS) == len(set(TABLE1_PROPS)) == 9
     for dependencies, names in ((algebra.TABLE1_DEPENDENCIES, TABLE1_PROPS),
                                 (algebra.TABLE2_DEPENDENCIES, TABLE2_PROPS)):
         for premises, _, conclusion in dependencies:
@@ -647,3 +693,18 @@ def test_single_checks_agree_with_classify(op, small_corpus, small_universe):
 def test_stability_union_small_corpus(small_corpus):
     report = stability_check("union", small_corpus)
     assert report.stable and report.differing == ()
+
+
+@pytest.mark.parametrize("op, count", (("union", 0), ("strict", 24), ("paranoid", 10)))
+def test_stability_compares_against_no_fresh_attribute(op, count):
+    # without a fresh attribute, every pool attribute is one a model names
+    report = stability_check(op, default_corpus())
+    assert report.stable == (count == 0) and len(report.differing) == count
+
+
+def test_stability_of_a_corpus_that_names_no_attribute(monkeypatch):
+    corpus = Corpus((Model(()), parse_strict("class P { }"), parse_strict("complete class Q { }")), "no attributes")
+    with pytest.raises(ValueError, match="empty attribute pool"):
+        build_universe(corpus.models, 1, 0, 1)
+    monkeypatch.setattr(algebra, "classify", None)  # decided without classifying
+    assert stability_check("strict", corpus) == algebra.StabilityReport("strict", True, ())
