@@ -13,11 +13,8 @@ from .algebra import (
     Verdict,
     Witness,
     check_associativity,
-    check_commutativity,
-    check_cp,
     check_element,
-    check_fpp,
-    check_pp,
+    check_pairs,
     classify,
     congruence_check,
     default_corpus,

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .operators import Operator, get_operator
+from .operators import get_operator
 from .semantics import Denotation, Universe, build_universe, count_text, denotation
 # render is not called here; perfbench/tracing.py times it under this name too
 from .syntax import AttrComplete, AttrTyped, ClassExists, Model, _check_ident, _show, expand, render  # noqa: F401
@@ -180,19 +180,19 @@ class StabilityReport:
 
 
 class _Composer:
-    """The context of one check: an operator (given by name or as a callable)
-    over a corpus and a universe, on interned models.  Each distinct model is
-    interned once, by its constraints, to an int id, so two ids are equal
-    exactly when their models are syntactically equal.  The corpus is interned
-    on construction; `ids` holds its ids in corpus order.  Compositions are
-    memoized by id pair, and each id's denotation is computed once.  `den`, and
-    `&` on what it returns, give the universe's canonical Denotation objects
-    (one per distinct denotation, see `semantics`), so the checks compare
-    semantics by `is`, and compute none where the ids already agree (equal
-    ids denote the same set)."""
+    """The context of one check: an operator, given by name, over a corpus and
+    a universe, on interned models.  Each distinct model is interned once, by
+    its constraints, to an int id, so two ids are equal exactly when their
+    models are syntactically equal.  The corpus is interned on construction;
+    `ids` holds its ids in corpus order.  Compositions are memoized by id
+    pair, and each id's denotation is computed once.  `den`, and `&` on what
+    it returns, give the universe's canonical Denotation objects (one per
+    distinct denotation, see `semantics`), so the checks compare semantics by
+    `is`, and compute none where the ids already agree (equal ids denote the
+    same set)."""
 
-    def __init__(self, op: str | Operator, corpus: Corpus, u: Universe):
-        self.op = get_operator(op) if isinstance(op, str) else op
+    def __init__(self, op: str, corpus: Corpus, u: Universe):
+        self.op = get_operator(op)
         self.u = u
         self.by_constraints: dict = {}  # constraints -> id
         self.models: list[Model] = []  # id -> model
@@ -236,12 +236,13 @@ def _mismatch(comp: _Composer, row: tuple, fails: dict, models: tuple, ids: tupl
     """Record models (ids `models`) on which a coincidence row's terms (ids
     `ids`, two or three) do not share one id: the row fails there, and so does
     its twin where the canonical denotations differ too (equal ids denote the
-    same set).  Witnesses are built only while a verdict keeps fewer than
-    MAX_WITNESSES, and no closure is made per failing tuple."""
+    same set).  A verdict that holds MAX_WITNESSES witnesses does no more
+    work: no witness is built and no denotation compared for it.  No closure
+    is made per failing tuple."""
     prop, twin, _, _, relation, twin_relation, observed, twin_observed = row
     if len(fails[prop]) < MAX_WITNESSES:
         fails[prop].append(Witness(tuple(map(comp.show, models)), relation, observed(comp, ids)))
-    if not comp.den(ids[0]) is comp.den(ids[1]) is comp.den(ids[-1]) and len(fails[twin]) < MAX_WITNESSES:
+    if len(fails[twin]) < MAX_WITNESSES and not comp.den(ids[0]) is comp.den(ids[1]) is comp.den(ids[-1]):
         fails[twin].append(Witness(tuple(map(comp.show, models)), twin_relation, twin_observed(comp, ids)))
 
 
@@ -265,7 +266,7 @@ def _check_pairs(comp: _Composer) -> dict:
             ab = comp(a, b)
             dab, meet = comp.den(ab), comp.den(a) & comp.den(b)
             for prop, failed, relation, observed in TABLE1_PAIR_ROWS:
-                if failed(comp, a, b, dab, meet) and len(fails[prop]) < MAX_WITNESSES:
+                if len(fails[prop]) < MAX_WITNESSES and failed(comp, a, b, dab, meet):
                     fails[prop].append(Witness(
                         (comp.show(a), comp.show(b)), relation, observed(comp, a, b, dab, meet)))
             if i < j and ab != (ba := comp(b, a)):
@@ -274,20 +275,8 @@ def _check_pairs(comp: _Composer) -> dict:
             **{p: _verdict(p, fails[p], n * (n - 1) // 2, True) for p in _COM[:2]}}
 
 
-def _check_pp(comp: _Composer) -> dict:
-    return {p: v for p, v in _check_pairs(comp).items() if p in ("PP_l", "PP_r", "PP")}
-
-
-def _check_fpp(comp: _Composer) -> Verdict:
-    return _check_pairs(comp)["FPP"]
-
-
-def _check_cp(comp: _Composer) -> Verdict:
-    return _check_pairs(comp)["CP"]
-
-
-def _check_commutativity(comp: _Composer) -> dict:
-    return {p: v for p, v in _check_pairs(comp).items() if p in ("Com", "Com_sm")}
+# nothing in src/ calls these names; perfbench/tracing.py rebinds them to time the pair pass
+_check_pp = _check_fpp = _check_cp = _check_commutativity = _check_pairs
 
 
 def _check_associativity(comp: _Composer, seed: int) -> dict:
@@ -331,20 +320,8 @@ def _check_element(comp: _Composer, e: int) -> dict:
 # --- public single checks --------------------------------------------------
 
 
-def check_pp(op, corpus: Corpus, u: Universe) -> dict:
-    return _check_pp(_Composer(op, corpus, u))
-
-
-def check_fpp(op, corpus: Corpus, u: Universe) -> Verdict:
-    return _check_fpp(_Composer(op, corpus, u))
-
-
-def check_cp(op, corpus: Corpus, u: Universe) -> Verdict:
-    return _check_cp(_Composer(op, corpus, u))
-
-
-def check_commutativity(op, corpus: Corpus, u: Universe) -> dict:
-    return _check_commutativity(_Composer(op, corpus, u))
+def check_pairs(op, corpus: Corpus, u: Universe) -> dict:
+    return _check_pairs(_Composer(op, corpus, u))
 
 
 def check_associativity(op, corpus: Corpus, u: Universe, seed: int = 42) -> dict:
@@ -576,13 +553,14 @@ def _flat_verdicts(report: OperatorReport) -> dict[str, bool]:
 
 def stability_check(op_id: str, corpus: Corpus, seed: int = 42) -> StabilityReport:
     """Re-classify under 1/0/1 and 1/1/1 fresh-name padding and compare every
-    boolean verdict: past one unnamed pool attribute, no verdict depends on the
-    pool sizes (see `semantics`).  A corpus that names no attribute has no
-    padding-0 universe, and is stable: it has an unnamed attribute at any padding."""
+    boolean verdict, listing those that differ in report order: past one
+    unnamed pool attribute, no verdict depends on the pool sizes (see
+    `semantics`).  A corpus that names no attribute has no padding-0
+    universe, and is stable: it has an unnamed attribute at any padding."""
     u1 = build_universe(corpus.models, 1, 1, 1)
     if len(u1.attr_pool) == 1:  # only the fresh attribute
         return StabilityReport(op_id, True, ())
     f0 = _flat_verdicts(classify(op_id, corpus, build_universe(corpus.models, 1, 0, 1), seed))
     f1 = _flat_verdicts(classify(op_id, corpus, u1, seed))
-    differing = tuple(sorted(k for k in f0 if f0[k] != f1[k]))
+    differing = tuple(k for k in f0 if f0[k] != f1[k])
     return StabilityReport(op_id, not differing, differing)

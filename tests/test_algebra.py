@@ -14,11 +14,8 @@ from modelalg import (
     Model,
     build_universe,
     check_associativity,
-    check_commutativity,
-    check_cp,
     check_element,
-    check_fpp,
-    check_pp,
+    check_pairs,
     classify,
     congruence_check,
     default_corpus,
@@ -117,14 +114,17 @@ def test_empty_corpus_rejected():
 # --- table 1 checks ---------------------------------------------------------
 
 
+PP_PROPS = ("PP_l", "PP_r", "PP")
+
+
 def test_union_pp_all_true(small_corpus, small_universe):
-    verdicts = check_pp("union", small_corpus, small_universe)
-    assert all(v.holds for v in verdicts.values())
+    verdicts = check_pairs("union", small_corpus, small_universe)
+    assert all(verdicts[p].holds for p in PP_PROPS)
     assert all(v.exhaustive for v in verdicts.values())
 
 
 def test_intersect_pp_false_with_witness(small_corpus, small_universe, small_oracle):
-    verdicts = check_pp("intersect", small_corpus, small_universe)
+    verdicts = check_pairs("intersect", small_corpus, small_universe)
     assert not verdicts["PP"].holds
     w = verdicts["PP"].witnesses[0]
     m1, m2 = parse_witness(w.models[0]), parse_witness(w.models[1])
@@ -137,37 +137,37 @@ def test_intersect_pp_false_with_witness(small_corpus, small_universe, small_ora
 
 def test_pp_trivial_on_empty_model_corpus(small_universe):
     corpus = Corpus((Model(()),), "single")
-    verdicts = check_pp("paranoid", corpus, small_universe)
-    assert all(v.holds for v in verdicts.values())
+    verdicts = check_pairs("paranoid", corpus, small_universe)
+    assert all(verdicts[p].holds for p in PP_PROPS)
 
 
 def test_fpp(small_corpus, small_universe):
-    assert check_fpp("union", small_corpus, small_universe).holds
-    strict = check_fpp("strict", small_corpus, small_universe)
+    assert check_pairs("union", small_corpus, small_universe)["FPP"].holds
+    strict = check_pairs("strict", small_corpus, small_universe)["FPP"]
     assert not strict.holds and strict.witnesses
 
 
 def test_cp(small_corpus, small_universe):
-    assert check_cp("union", small_corpus, small_universe).holds
-    assert check_cp("intersect", small_corpus, small_universe).holds
-    paranoid = check_cp("paranoid", small_corpus, small_universe)
+    assert check_pairs("union", small_corpus, small_universe)["CP"].holds
+    assert check_pairs("intersect", small_corpus, small_universe)["CP"].holds
+    paranoid = check_pairs("paranoid", small_corpus, small_universe)["CP"]
     assert not paranoid.holds and paranoid.witnesses
 
 
 def test_commutativity(small_corpus, small_universe):
-    verdicts = check_commutativity("union", small_corpus, small_universe)
+    verdicts = check_pairs("union", small_corpus, small_universe)
     assert not verdicts["Com"].holds
     assert verdicts["Com_sm"].holds
 
 
 def test_commutativity_single_model_corpus(small_universe):
     corpus = Corpus((parse_strict("class P { n: S }"),), "single")
-    verdicts = check_commutativity("union", corpus, small_universe)
+    verdicts = check_pairs("union", corpus, small_universe)
     assert verdicts["Com"].holds
 
 
 def test_override_not_semantically_commutative(small_universe, small_corpus):
-    assert not check_commutativity("override", small_corpus, small_universe)["Com_sm"].holds
+    assert not check_pairs("override", small_corpus, small_universe)["Com_sm"].holds
 
 
 def test_associativity_exhaustive_below_threshold(small_universe):
@@ -317,7 +317,7 @@ def test_first_failures_kept_in_order():
         if not denotation(intersect_merge(m1, m2), u).issubset(denotation(m1, u) & denotation(m2, u))
     ]
     assert len(failures) > MAX_WITNESSES == 10
-    verdict = check_pp("intersect", corpus, u)["PP"]
+    verdict = check_pairs("intersect", corpus, u)["PP"]
     assert verdict.holds is False and verdict.checked == len(corpus.models) ** 2
     assert len(verdict.witnesses) == MAX_WITNESSES
     assert [w.models for w in verdict.witnesses] == [(_show(a), _show(b)) for a, b in failures[:10]]
@@ -354,7 +354,7 @@ def test_coincidences_denote_nothing_where_the_ids_agree(monkeypatch, op):
     corpus = default_corpus()
     comp = algebra._Composer(op, corpus, build_universe(corpus.models))
     ids = comp.ids
-    algebra._check_pp(comp)  # denotes the corpus and its pairwise compositions
+    algebra._check_pairs(comp)  # denotes the corpus and its pairwise compositions
     calls = []
     real = algebra.denotation
     monkeypatch.setattr(algebra, "denotation", lambda m, u: calls.append(m) or real(m, u))
@@ -387,10 +387,39 @@ def test_coincidences_denote_nothing_where_the_ids_agree(monkeypatch, op):
             expected += [(prop, (m1, e), tuple(terms[t] for t in names))
                          for prop, names in algebra.TABLE2 if len({terms[t] for t in names}) > 1]
     assert outside == []
-    algebra._check_commutativity(comp)  # its set rows denote every pair
+    algebra._check_pairs(comp)  # its set rows denote every pair
     expected += [("Com", (a, b), (comp(a, b), comp(b, a)))
                  for i, a in enumerate(ids) for b in ids[i + 1:] if comp(a, b) != comp(b, a)]
     assert seen == expected
+
+
+@pytest.mark.parametrize("op, most", (("strict", 1_611), ("paranoid", 2_253)))
+def test_a_verdict_with_all_its_witnesses_does_no_more_work(monkeypatch, op, most):
+    corpus = default_corpus()
+    u = build_universe(corpus.models)
+    calls = []
+    real = algebra.denotation
+    monkeypatch.setattr(algebra, "denotation", lambda m, u: calls.append(m) or real(m, u))
+    classify(op, corpus, u)
+    assert len(calls) <= most
+    # a twin that keeps MAX_WITNESSES witnesses compares no denotations
+    comp = algebra._Composer(op, corpus, u)
+    full, inside, late = [], [], []
+    mismatch, den = algebra._mismatch, comp.den
+
+    def recorded(comp, row, fails, models, terms):
+        full.append(len(fails[row[1]]) >= MAX_WITNESSES)
+        inside.append(full[-1])
+        mismatch(comp, row, fails, models, terms)
+        inside.pop()
+
+    monkeypatch.setattr(algebra, "_mismatch", recorded)
+    monkeypatch.setattr(comp, "den", lambda i: (inside and inside[-1] and late.append(i)) or den(i))
+    algebra._check_pairs(comp)
+    algebra._check_associativity(comp, 42)
+    for e in comp.ids:
+        algebra._check_element(comp, e)
+    assert late == [] and full.count(True) > 1_000
 
 
 def _first(witnesses: list, make) -> None:
@@ -677,11 +706,7 @@ def test_congruence_witness_is_sound(small_corpus, small_universe, small_oracle)
 def test_single_checks_agree_with_classify(op, small_corpus, small_universe):
     c, u = small_corpus, small_universe
     rep = classify(op, c, u)
-    single = {
-        **check_pp(op, c, u), "FPP": check_fpp(op, c, u), "CP": check_cp(op, c, u),
-        **check_commutativity(op, c, u), **check_associativity(op, c, u),
-    }
-    assert single == rep.table1
+    assert {**check_pairs(op, c, u), **check_associativity(op, c, u)} == rep.table1
     for idx, props in rep.table2:
         assert check_element(op, c.models[idx], c, u) == props
     assert congruence_check(op, quotient(c, u), u).holds == rep.theorems["t2"]["congruence"]
@@ -695,11 +720,23 @@ def test_stability_union_small_corpus(small_corpus):
     assert report.stable and report.differing == ()
 
 
-@pytest.mark.parametrize("op, count", (("union", 0), ("strict", 24), ("paranoid", 10)))
-def test_stability_compares_against_no_fresh_attribute(op, count):
+@pytest.mark.parametrize("op, count, first", (
+    ("union", 0, ()),
+    ("strict", 24, ("table2[4].Ri_comp", "table2[4].Li_comp", "table2[4].I_comp")),
+    ("paranoid", 10, ("table2[4].Ri_comp", "table2[6].Ri_comp")),
+), ids=("union-0", "strict-24", "paranoid-10"))
+def test_stability_compares_against_no_fresh_attribute(op, count, first):
     # without a fresh attribute, every pool attribute is one a model names
     report = stability_check(op, default_corpus())
     assert report.stable == (count == 0) and len(report.differing) == count
+    # in report order: Table 2 by model index, then by row
+    assert report.differing[:len(first)] == first
+
+    def position(key):
+        idx, prop = key.removeprefix("table2[").split("].")
+        return int(idx), TABLE2_PROPS.index(prop)
+
+    assert list(report.differing) == sorted(report.differing, key=position)
 
 
 def test_stability_of_a_corpus_that_names_no_attribute(monkeypatch):

@@ -1,17 +1,20 @@
-"""The package's exported names."""
+"""The package's exported names, and the program names the benchmark's tracer rebinds."""
 
+import ast
+import importlib
 import inspect
 import types
+from pathlib import Path
 
 import modelalg
 
-# every public name `modelalg.__all__` exported before it left the submodules out
+# every public name `modelalg.__all__` exports
 EXPORTS = {
     "AttrComplete", "AttrTyped", "ClassExists", "Constraint", "Corpus", "CorpusBounds", "DEFAULT_BOUNDS",
     "DEFAULT_CAP", "Denotation", "Diagnostic", "Model", "OPERATORS", "OperatorReport", "ParseError",
     "Partition", "StabilityReport", "System", "Universe", "UniverseCapError", "UniverseError", "Verdict",
-    "Witness", "build_universe", "check_associativity", "check_commutativity", "check_cp", "check_element",
-    "check_fpp", "check_pp", "classify", "congruence_check", "default_corpus", "denotation",
+    "Witness", "build_universe", "check_associativity", "check_element", "check_pairs",
+    "classify", "congruence_check", "default_corpus", "denotation",
     "generate_corpus", "get_operator", "intersect_merge", "is_consistent", "is_uninformative",
     "load_universe", "mentioned_classes", "normalize", "override_merge", "paranoid_merge", "parse",
     "parse_strict", "quotient", "refines", "render", "semantically_eq", "stability_check", "strict_merge",
@@ -32,3 +35,22 @@ def test_star_import_binds_no_module():
     exec("from modelalg import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(modelalg.__all__)
     assert not [name for name, value in namespace.items() if inspect.ismodule(value)]
+
+
+def _tracer_constants() -> dict:
+    """TIMED and DENOTATION_SITES, read from perfbench/tracing.py's source without importing it."""
+    tree = ast.parse((Path(__file__).parent.parent / "perfbench" / "tracing.py").read_text())
+    return {target.id: ast.literal_eval(node.value)
+            for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)
+            and target.id in ("TIMED", "DENOTATION_SITES")}
+
+
+def test_every_name_the_tracer_rebinds_exists():
+    constants = _tracer_constants()
+    names = [(module, attr) for module, attr, _ in constants["TIMED"]]
+    names += [(module, "denotation") for module in constants["DENOTATION_SITES"]]
+    names += [("algebra", "Witness"), ("operators", "OPERATORS")]
+    for module, attr in names:
+        assert hasattr(importlib.import_module(f"modelalg.{module}"), attr), (module, attr)
+    assert hasattr(importlib.import_module("modelalg.semantics").Denotation, "systems")
