@@ -13,8 +13,11 @@ exhaustive).
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -99,6 +102,9 @@ def _twins(rows) -> tuple:  # a coincidence implies its twin: equal ids denote t
 
 _COM, _ASS = _TABLE1_ROWS = tuple(_compile(p, p + "_sm", *rest) for p, *rest in TABLE1_COINCIDENCES)
 _ELEMENT_ROWS = tuple(_compile(p, p + "_comp", terms) for p, terms in TABLE2)
+# Table 2's terms as _check_element computes them, and each row with the positions it compares
+_ELEMENT_TERMS = ("m1", "m", "op(m1,m)", "op(m,m1)", "op(op(m1,m),m)", "op(m,op(m,m1))")
+_ELEMENT_CHECKS = tuple((row, tuple(map(_ELEMENT_TERMS.index, row[3]))) for row in _ELEMENT_ROWS)
 TABLE1_PROPS = (*(row[0] for row in TABLE1_PAIR_ROWS), *_props(_TABLE1_ROWS))
 TABLE2_PROPS = _props(_ELEMENT_ROWS)
 
@@ -184,12 +190,12 @@ class _Composer:
     a universe, on interned models.  Each distinct model is interned once, by
     its constraints, to an int id, so two ids are equal exactly when their
     models are syntactically equal.  The corpus is interned on construction;
-    `ids` holds its ids in corpus order.  Compositions are memoized by id
-    pair, and each id's denotation is computed once.  `den`, and `&` on what
-    it returns, give the universe's canonical Denotation objects (one per
-    distinct denotation, see `semantics`), so the checks compare semantics by
-    `is`, and compute none where the ids already agree (equal ids denote the
-    same set)."""
+    `ids` holds its ids in corpus order.  Compositions are memoized per left
+    operand, `rows[a][b]` being the id of op(a, b), and each id's denotation
+    is computed once.  `den`, and `&` on what it returns, give the universe's
+    canonical Denotation objects (one per distinct denotation, see
+    `semantics`), so the checks compare semantics by `is`, and compute none
+    where the ids already agree (equal ids denote the same set)."""
 
     def __init__(self, op: str, corpus: Corpus, u: Universe):
         self.op = get_operator(op)
@@ -198,7 +204,7 @@ class _Composer:
         self.models: list[Model] = []  # id -> model
         self.dens: list = []  # id -> denotation, None until first needed
         self.texts: dict = {}  # id -> one-line source, for the ids a witness shows
-        self.results: dict = {}  # (id, id) -> id of the composition
+        self.rows: defaultdict = defaultdict(dict)  # id a -> {id b: id of op(a, b)}, for a ever on the left
         self.ids = [self.intern(m) for m in corpus.models]
 
     def intern(self, m: Model) -> int:
@@ -210,9 +216,9 @@ class _Composer:
         return i
 
     def __call__(self, a: int, b: int) -> int:
-        r = self.results.get((a, b))
+        r = self.rows[a].get(b)
         if r is None:
-            r = self.results[a, b] = self.intern(self.op(self.models[a], self.models[b]))
+            r = self.rows[a][b] = self.intern(self.op(self.models[a], self.models[b]))
         return r
 
     def den(self, i: int) -> Denotation:
@@ -282,6 +288,8 @@ _check_pp = _check_fpp = _check_cp = _check_commutativity = _check_pairs
 def _check_associativity(comp: _Composer, seed: int) -> dict:
     ids = comp.ids
     n = len(ids)
+    # op(m_i, m_j) for every pair, memo hits after the pair pass, so a triple composes twice
+    pairs = [[comp(a, b) for b in ids] for a in ids]
     if n <= EXHAUSTIVE_TRIPLE_LIMIT:
         triples = itertools.product(range(n), repeat=3)
         exhaustive, checked = True, n**3
@@ -290,11 +298,10 @@ def _check_associativity(comp: _Composer, seed: int) -> dict:
         exhaustive, checked = False, TRIPLE_SAMPLES
     fails: dict[str, list[Witness]] = {p: [] for p in _ASS[:2]}
     for i, j, k in triples:
-        a, b, c = ids[i], ids[j], ids[k]
-        left = comp(comp(a, b), c)
-        right = comp(a, comp(b, c))
+        left = comp(pairs[i][j], ids[k])
+        right = comp(ids[i], pairs[j][k])
         if left != right:
-            _mismatch(comp, _ASS, fails, (a, b, c), (left, right))
+            _mismatch(comp, _ASS, fails, (ids[i], ids[j], ids[k]), (left, right))
     return {p: _verdict(p, fails[p], checked, exhaustive) for p in _ASS[:2]}
 
 
@@ -306,11 +313,9 @@ def _check_element(comp: _Composer, e: int) -> dict:
     fails: dict[str, list[Witness]] = {p: [] for p in TABLE2_PROPS}
     for i in comp.ids:
         rm, lm = comp(i, e), comp(e, i)
-        terms = {"m1": i, "m": e, "op(m1,m)": rm, "op(m,m1)": lm,
-                 "op(op(m1,m),m)": comp(rm, e), "op(m,op(m,m1))": comp(e, lm)}
+        terms = (i, e, rm, lm, comp(rm, e), comp(e, lm))
         models = (i, e)
-        for row in _ELEMENT_ROWS:
-            a, b, c = row[3]  # the terms compared
+        for row, (a, b, c) in _ELEMENT_CHECKS:
             x, y, z = terms[a], terms[b], terms[c]
             if not x == y == z:
                 _mismatch(comp, row, fails, models, (x, y, z))
@@ -390,6 +395,19 @@ def _implication_audit(table1: dict, table2) -> tuple[str, ...]:
 # --- classification --------------------------------------------------------
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector: a classification makes no reference cycles to free."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def classify(op_id: str, corpus: Corpus, u: Universe, seed: int = 42) -> OperatorReport:
     comp = _Composer(op_id, corpus, u)
     table1 = {**_check_pairs(comp), **_check_associativity(comp, seed)}

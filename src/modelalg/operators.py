@@ -17,7 +17,7 @@ from .syntax import AttrComplete, AttrTyped, Model
 
 def _union(first: tuple, present, m2: Model) -> Model:
     """first, then the constraints of m2 that are not in present (first's set)."""
-    return Model(first + tuple(c for c in m2.constraints if c not in present))
+    return Model._trusted(first + tuple(c for c in m2.constraints if c not in present))
 
 
 def union_merge(m1: Model, m2: Model) -> Model:
@@ -49,7 +49,7 @@ def _complete_shared(m1: Model, m2: Model, sources) -> Model:
         cand = AttrComplete._trusted(cls, tuple(pairs.items()))
         if cand not in present and cand not in second:  # cands differ by class
             out.append(cand)
-    return Model(tuple(out))
+    return Model._trusted(tuple(out))
 
 
 def strict_merge(m1: Model, m2: Model) -> Model:
@@ -74,7 +74,7 @@ def intersect_merge(m1: Model, m2: Model) -> Model:
     for c in m1.constraints:
         if c in second and c not in out:
             out.append(c)
-    return Model(tuple(out))
+    return Model._trusted(tuple(out))
 
 
 def paranoid_merge(m1: Model, m2: Model) -> Model:

@@ -93,6 +93,13 @@ class Model:
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
 
+    @classmethod
+    def _trusted(cls, constraints: tuple) -> Model:
+        """Build from a tuple of constraints, skipping `__init__` (an operator's result)."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "constraints", constraints)
+        return m
+
     @cached_property
     def constraint_set(self) -> frozenset:
         return frozenset(self.constraints)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -39,6 +40,7 @@ from modelalg.algebra import (
     Witness,
     _implication_audit,
 )
+from modelalg.report import report_to_json
 from modelalg.syntax import _show
 
 from .oracle import EnumOracle, parse_witness
@@ -422,6 +424,20 @@ def test_a_verdict_with_all_its_witnesses_does_no_more_work(monkeypatch, op, mos
     assert late == [] and full.count(True) > 1_000
 
 
+@pytest.mark.parametrize("op", ("union", "strict"))
+def test_associativity_composes_twice_per_triple(monkeypatch, op):
+    corpus = default_corpus()
+    comp = algebra._Composer(op, corpus, build_universe(corpus.models))
+    algebra._check_pairs(comp)
+    calls = []
+    call = algebra._Composer.__call__
+    monkeypatch.setattr(algebra._Composer, "__call__", lambda self, a, b: calls.append(a) or call(self, a, b))
+    assert algebra._check_associativity(comp, 42)["Ass"].checked == algebra.TRIPLE_SAMPLES
+    # the n x n pairs once, read from the pair pass's memo, then op(ab, c) and op(a, bc)
+    n = len(comp.ids)
+    assert len(calls) <= n * n + 2 * algebra.TRIPLE_SAMPLES
+
+
 def _first(witnesses: list, make) -> None:
     if len(witnesses) < MAX_WITNESSES:
         witnesses.append(make())
@@ -710,6 +726,54 @@ def test_single_checks_agree_with_classify(op, small_corpus, small_universe):
     for idx, props in rep.table2:
         assert check_element(op, c.models[idx], c, u) == props
     assert congruence_check(op, quotient(c, u), u).holds == rep.theorems["t2"]["congruence"]
+
+
+# --- the collector pause ----------------------------------------------------
+
+
+@pytest.mark.parametrize("raises", (False, True), ids=("returns", "raises"))
+@pytest.mark.parametrize("enabled", (True, False), ids=("collector-on", "collector-off"))
+def test_classify_leaves_the_collector_as_it_found_it(monkeypatch, small_corpus, small_universe, enabled, raises):
+    paused = []
+    check = algebra._check_element
+
+    def recorded(comp, e):
+        paused.append(not gc.isenabled())
+        if raises:
+            raise RuntimeError("check failed")
+        return check(comp, e)
+
+    monkeypatch.setattr(algebra, "_check_element", recorded)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(RuntimeError, match="check failed"):
+                classify("strict", small_corpus, small_universe)
+        else:
+            classify("strict", small_corpus, small_universe)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert paused and all(paused)
+
+
+@pytest.mark.parametrize("op", sorted(OPERATORS))
+def test_classify_and_its_report_make_no_reference_cycles(op):
+    # the premise of pausing the collector: with the universe still
+    # referenced, nothing a classification and its report leave is a cycle
+    corpus = default_corpus()
+    u = build_universe(corpus.models)
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()  # no automatic pass may free a cycle before the count
+    try:
+        report_to_json(classify(op, corpus, u))
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+    assert u.attr_pool
 
 
 # --- stability --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 
@@ -292,6 +293,7 @@ def test_operators_match_scanning_reference(m1, m2, m3):
         ref = REFERENCE_OPERATORS[name]
         out = op(m1, m2)
         assert out.constraints == ref(m1, m2).constraints, name
+        assert type(out) is Model and out == Model(out.constraints), name
         # composed models, whose views are built from operator output, as inputs
         assert op(out, m3).constraints == ref(out, m3).constraints, name
         assert op(m3, out).constraints == ref(m3, out).constraints, name
@@ -337,3 +339,19 @@ def test_built_views_leave_equality_hashing_and_pickling_alone(m):
         assert back.declared == m.declared and back.constraint_set == m.constraint_set
     with pytest.raises(dataclasses.FrozenInstanceError):
         m.declared = {}
+
+
+@settings(max_examples=100)
+@given(models)
+def test_trusted_models_match_constructed_ones(m):
+    trusted, built = Model._trusted(m.constraints), Model(m.constraints)
+    assert type(trusted) is Model
+    assert trusted == built and built == trusted
+    assert hash(trusted) == hash(built) and repr(trusted) == repr(built)
+    assert trusted.constraint_set == built.constraint_set
+    assert trusted.declared == built.declared
+    for other in (copy.copy(trusted), pickle.loads(pickle.dumps(trusted)), dataclasses.replace(trusted)):
+        assert type(other) is Model and other == built and hash(other) == hash(built)
+        assert other.declared == built.declared
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trusted.constraints = ()
