@@ -397,7 +397,9 @@ def _implication_audit(table1: dict, table2) -> tuple[str, ...]:
 
 @contextmanager
 def _collector_paused():
-    """Pause the cyclic garbage collector: a classification makes no reference cycles to free."""
+    """Pause the cyclic garbage collector: a classification leaves no cyclic garbage while its
+    universe is referenced.  The universe and its cached denotations form a cycle, so a dropped
+    universe waits for a collection after the pause."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -572,7 +574,8 @@ def _flat_verdicts(report: OperatorReport) -> dict[str, bool]:
 def stability_check(op_id: str, corpus: Corpus, seed: int = 42) -> StabilityReport:
     """Re-classify under 1/0/1 and 1/1/1 fresh-name padding and compare every
     boolean verdict, listing those that differ in report order: past one
-    unnamed pool attribute, no verdict depends on the pool sizes (see
+    unnamed pool attribute, only an exact map fixes every attribute, and it
+    fixes that one absent, so no verdict depends on the pool sizes (see
     `semantics`).  A corpus that names no attribute has no padding-0
     universe, and is stable: it has an unnamed attribute at any padding."""
     u1 = build_universe(corpus.models, 1, 1, 1)

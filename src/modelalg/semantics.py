@@ -7,12 +7,13 @@ constraints.
 
 Because each constraint mentions exactly one class, every denotation is a
 product of per-class state sets, each one *class value*: every state (ANY),
-no state (NONE), "present, with these (attr, type) pairs fixed and the rest
-free" (a frozenset), or "exactly this attribute map" (a 1-tuple of the
-frozenset).  Their meet, subset and size cost the constraints, not the
-universe's states, so they stay exact far beyond the enumeration cap, below
-which alone systems are listed.  A universe hands out one Denotation object
-per distinct denotation, so two are equal exactly when they are identical.
+no state (NONE), or "present, with these (attr, type) pairs fixed and the
+rest free" (a frozenset), where type None fixes the attribute absent, so
+"exactly this attribute map" is the frozenset fixing every pool attribute.
+Their meet, subset and size cost the constraints, not the universe's
+states, so they stay exact far beyond the enumeration cap, below which alone
+systems are listed.  A universe hands out one Denotation object per
+distinct denotation, so two are equal exactly when they are identical.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import log10, prod
+from math import log10
 
 from .syntax import IDENT_RE, AttrComplete, AttrTyped, Constraint, Model
 
@@ -93,6 +94,12 @@ class UniverseCapError(UniverseError):
         return (1 + (types + 1) ** attrs) ** classes
 
 
+def _check_cap(sizes: tuple[int, int, int], cap: int | None, universe: "Universe | None" = None) -> None:
+    """Refuse pools of these sizes if their system count exceeds cap; None caps nothing."""
+    if cap is not None and _count_at_most(*sizes, cap) is None:
+        raise UniverseCapError(sizes, cap, universe)
+
+
 @dataclass(frozen=True)
 class Universe:
     class_pool: tuple[str, ...]
@@ -102,7 +109,6 @@ class Universe:
     _den_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _con_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _meet_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _text_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "class_pool", tuple(self.class_pool))
@@ -113,8 +119,7 @@ class Universe:
                 raise UniverseError(f"empty {kind} pool")
             if len(set(pool)) != len(pool):
                 raise UniverseError(f"duplicate names in {kind} pool: {pool}")
-        if self.cap is not None and self.count_at_most(self.cap) is None:
-            raise UniverseCapError(self.sizes, self.cap, self)
+        _check_cap(self.sizes, self.cap, self)
         self._meet_cache.update({ANY: {ANY: ANY}, NONE: {NONE: NONE}})  # see _intern
 
     @property
@@ -163,12 +168,6 @@ class Universe:
         )
 
 
-def _enumeration_guard(u: Universe) -> None:
-    limit = u.cap if u.cap is not None else DEFAULT_CAP
-    if u.count_at_most(limit) is None:
-        raise UniverseCapError(u.sizes, limit, u)
-
-
 @dataclass(frozen=True)
 class System:
     universe: Universe
@@ -191,21 +190,14 @@ class System:
 
 
 def _state_text(u: Universe, ci: int, state: int) -> str:
-    """Pool class ci in this state as a listed system shows it; rendered once per universe."""
-    text = u._text_cache.get((ci, state))
-    if text is None:
-        cls, pairs = u.class_pool[ci], u.decode_class_state(state)
-        text = f"{cls} absent" if pairs is None else f"{cls}{{{', '.join(f'{a}: {t}' for a, t in pairs)}}}"
-        u._text_cache[ci, state] = text
-    return text
+    """Pool class ci in this state as a listed system shows it."""
+    cls, pairs = u.class_pool[ci], u.decode_class_state(state)
+    return f"{cls} absent" if pairs is None else f"{cls}{{{', '.join(f'{a}: {t}' for a, t in pairs)}}}"
 
 
 def _intern(u: Universe, v):
-    """u's one object for class value v, with a fixed value that fixes every
-    pool attribute as the exact map.  u._meet_cache maps it to its row: a
+    """u's one object for class value v.  u._meet_cache maps it to its row: a
     dict from other values to their meet with it, which maps v itself to v."""
-    if type(v) is frozenset and len(v) == len(u.attr_pool):
-        v = (v,)
     return u._meet_cache.setdefault(v, {v: v})[v]
 
 
@@ -215,10 +207,7 @@ def _meet(u: Universe, a, b):
         r = b
     elif b is ANY or a is NONE:
         r = a
-    elif type(a) is tuple or type(b) is tuple:  # an exact map meets a value
-        exact, other = (a, b) if type(a) is tuple else (b, a)
-        r = exact if (other == exact if type(other) is tuple else other.issubset(exact[0])) else NONE
-    else:  # fixed pairs; one attribute fixed to two types allows no state
+    else:  # fixed pairs; one attribute fixed two ways (two types, or a type and absent) allows no state
         r = a | b
         r = NONE if len({attr for attr, _ in r}) < len(r) else r
     r = u._meet_cache[a][b] = _intern(u, r)
@@ -229,9 +218,8 @@ def _value_states(u: Universe, v):
     """The per-class states class value v allows, ascending; for listing only."""
     if v is ANY:
         return range(u.class_state_count)
-    radix, n, fixed = u.attr_state_radix, len(u.attr_pool), dict(v[0] if type(v) is tuple else v)
-    free = (0,) if type(v) is tuple else range(radix)
-    places = [[d * radix ** (n - 1 - j) for d in ((u.type_pool.index(fixed[a]) + 1,) if a in fixed else free)]
+    radix, n, fixed, digits = u.attr_state_radix, len(u.attr_pool), dict(v), (None,) + u.type_pool
+    places = [[d * radix ** (n - 1 - j) for d in ((digits.index(fixed[a]),) if a in fixed else range(radix))]
               for j, a in enumerate(u.attr_pool)]  # attr_pool[0] is the most significant digit
     return [1 + sum(ds) for ds in itertools.product(*places)]
 
@@ -258,12 +246,13 @@ class Denotation:
 
     @cached_property
     def size(self) -> int:
-        u = self.universe
-        return prod(
-            u.class_state_count if v is ANY else 0 if v is NONE else 1 if type(v) is tuple
-            else u.attr_state_radix ** (len(u.attr_pool) - len(v))
-            for v in self.class_values
-        )
+        # one power per kind of factor: a product of one factor per pool class
+        # costs a big-integer multiplication per class
+        u, values = self.universe, self.class_values
+        if self.is_empty:
+            return 0
+        free = sum(len(u.attr_pool) - len(v) for v in values if v is not ANY)
+        return u.class_state_count ** values.count(ANY) * u.attr_state_radix ** free
 
     def issubset(self, other: "Denotation") -> bool:
         u = self.universe
@@ -294,7 +283,8 @@ class Denotation:
         if self.is_empty:
             return
         u = self.universe
-        _enumeration_guard(u)
+        if u.cap is None:  # a capped universe passed its cap when built
+            _check_cap(u.sizes, DEFAULT_CAP, u)
         columns = [_value_states(u, v) for v in self.class_values]
         if texts:
             columns = [[_state_text(u, ci, s) for s in states] for ci, states in enumerate(columns)]
@@ -325,7 +315,9 @@ def _constraint_value(u: Universe, c: Constraint) -> tuple:
             raise UniverseError(f"attribute {a!r} not in universe")
         if t not in u.type_pool:
             raise UniverseError(f"type {t!r} not in universe")
-    result = u._con_cache[c] = (ci, _intern(u, (frozenset(pairs),) if exact else frozenset(pairs)))
+    # an exact map fixes every attribute it does not list absent (type None)
+    fixed = {**dict.fromkeys(u.attr_pool), **dict(pairs)} if exact else dict(pairs)
+    result = u._con_cache[c] = (ci, _intern(u, frozenset(fixed.items())))
     return result
 
 
@@ -398,8 +390,7 @@ def build_universe(
     sizes = (len(classes) + fresh_classes, len(attrs) + fresh_attrs, len(types) + fresh_types)
     if 0 in sizes:
         raise UniverseError(f"empty {('class', 'attribute', 'type')[sizes.index(0)]} pool")
-    if cap is not None and _count_at_most(*sizes, cap) is None:
-        raise UniverseCapError(sizes, cap)
+    _check_cap(sizes, cap)
     classes.update(dict.fromkeys(f"_C{i}" for i in range(1, fresh_classes + 1)))
     attrs.update(dict.fromkeys(f"_a{i}" for i in range(1, fresh_attrs + 1)))
     types.update(dict.fromkeys(f"_T{i}" for i in range(1, fresh_types + 1)))

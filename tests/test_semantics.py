@@ -383,12 +383,16 @@ def test_denotations_of_different_universes_do_not_mix():
 
 PERSON_NO_ATTRS = AttrComplete("Person", ())
 PERSON_NAME = AttrTyped("Person", "name", "String")
+# every pool attribute of TINY_UNIVERSE fixed by typed constraints: the exact map's set
+PERSON_TYPED = Model((ClassExists("Person"), PERSON_NAME, AttrTyped("Person", "age", "Int")))
 
 
 @settings(max_examples=150)
 @given(models, models, st.randoms(use_true_random=False))
 @example(Model((PERSON_NO_ATTRS,)), Model((ClassExists("Person"), PERSON_NO_ATTRS)), None)
 @example(Model((PERSON_NO_ATTRS, PERSON_NAME)), Model((AttrComplete("Account", ()), AttrTyped("Account", "age", "Int"))), None)
+@example(Model((AttrComplete("Person", (("name", "String"), ("age", "Int"))),)), PERSON_TYPED, None)
+@example(Model((AttrComplete("Person", (("name", "String"),)),)), PERSON_TYPED, None)
 def test_one_denotation_object_per_set(m1, m2, rnd):
     u = TINY_UNIVERSE
     d1, d2 = denotation(m1, u), denotation(m2, u)
@@ -538,8 +542,9 @@ small_corpora = st.lists(models, min_size=1, max_size=4).map(lambda ms: Corpus(t
 @settings(max_examples=25, deadline=None)
 @given(small_corpora, st.integers(2, 6))
 def test_verdicts_do_not_depend_on_the_padding(corpus, k):
-    # with one pool attribute named by no model, no fixed value fixes every
-    # attribute, so no relation between class values depends on the pool sizes
+    # with one pool attribute named by no model, only an exact map fixes every
+    # attribute, and it fixes that one absent, so no relation between class
+    # values depends on the pool sizes
     for op in OPERATORS:
         small = classify(op, corpus, build_universe(corpus.models, 1, 1, 1), seed=3)
         padded = classify(op, corpus, build_universe(corpus.models, k, k, k, cap=None), seed=3)
@@ -574,6 +579,21 @@ def test_sm_list_prints_the_oracle_enumeration(tmp_path, capsys):
     assert listed > 10**4
 
 
+def test_one_listing_decodes_each_class_state_once(monkeypatch):
+    decoded, decode = [], Universe.decode_class_state
+    monkeypatch.setattr(Universe, "decode_class_state", lambda u, state: decoded.append(state) or decode(u, state))
+    columns = products = 0
+    for m in default_corpus().models:
+        d = denotation(m, build_universe([m]))
+        decoded.clear()
+        texts = [text.split("; ") for text in d.system_texts()]
+        # a class's column: the distinct states it takes in the listing
+        column_lengths = [len(set(parts)) for parts in zip(*texts)]
+        assert len(decoded) == sum(column_lengths)
+        columns, products = columns + sum(column_lengths), products + len(texts) * len(d.class_values)
+    assert columns * 10 < products
+
+
 def test_sm_list_writes_str_of_each_listed_system(tmp_path, capsys):
     models = default_corpus().models
     assert any(not is_consistent(m, build_universe([m])) for m in models)
@@ -585,19 +605,26 @@ def test_sm_list_writes_str_of_each_listed_system(tmp_path, capsys):
         assert lines == [str(s) for s in denotation(m, build_universe([m])).systems()]
 
 
+def _closed_form_sizes(u: Universe) -> dict:
+    """Model -> its system count in u, for models of default-corpus names."""
+    classes, attrs, types = u.sizes
+    states = 1 + (types + 1) ** attrs
+    return {
+        Model(()): states**classes,
+        Model((ClassExists("Person"),)): (states - 1) * states ** (classes - 1),
+        Model((PERSON_NAME,)): (types + 1) ** (attrs - 1) * states ** (classes - 1),
+        Model((PERSON_NAME, AttrTyped("Account", "age", "Int"))): (
+            (types + 1) ** (2 * attrs - 2) * states ** (classes - 2)),
+        Model((AttrComplete("Person", (("name", "String"),)),)): states ** (classes - 1),
+        Model((PERSON_NO_ATTRS, PERSON_NAME)): 0,
+    }
+
+
 def test_cap_free_universe_of_a_hundred_fresh_names_each():
     corpus = default_corpus()
     u = build_universe(corpus.models, 100, 100, 100, cap=None)
     small = build_universe(corpus.models)
-    classes, attrs, types = u.sizes
-    states = 1 + (types + 1) ** attrs
-    closed_forms = {  # model -> its system count, for models of corpus names
-        Model(()): states**classes,
-        Model((ClassExists("Person"),)): (states - 1) * states ** (classes - 1),
-        Model((PERSON_NAME,)): (types + 1) ** (attrs - 1) * states ** (classes - 1),
-        Model((AttrComplete("Person", (("name", "String"),)),)): states ** (classes - 1),
-        Model((PERSON_NO_ATTRS, PERSON_NAME)): 0,
-    }
+    closed_forms = _closed_form_sizes(u)
     start = time.perf_counter()
     dens = [denotation(m, u) for m in corpus.models]
     meets = [a & b for a in dens for b in dens]
@@ -610,6 +637,16 @@ def test_cap_free_universe_of_a_hundred_fresh_names_each():
     small_dens = [denotation(m, small) for m in corpus.models]
     assert subsets == [a.issubset(b) for a in small_dens for b in small_dens]
     assert flags == [(d.is_full, d.is_empty) for d in small_dens + [a & b for a in small_dens for b in small_dens]]
+
+
+def test_sizes_in_a_universe_of_three_hundred_fresh_names_each():
+    u = build_universe(default_corpus().models, 300, 300, 300, cap=None)
+    closed_forms = _closed_form_sizes(u)
+    start = time.perf_counter()
+    sizes = [denotation(m, u).size for m in closed_forms]
+    # a product of one factor per pool class takes seconds here
+    assert time.perf_counter() - start < 1
+    assert sizes == list(closed_forms.values())
 
 
 def test_denotations_of_equal_universes_hash_alike():
