@@ -452,8 +452,8 @@ class CorpusBounds:
         for what, names in (("class", self.class_names), ("attribute", self.attr_names), ("type", self.type_names)):
             for i, name in enumerate(names):
                 _check_ident(name, what)
-                if what == "attribute" and self.include_complete and name in names[:i]:
-                    raise ValueError(f"duplicate attribute {name!r} in completeness constraint")
+                if name in names[:i]:  # it would expand distinct choices to one model
+                    raise ValueError(f"duplicate {what} {name!r} in corpus bounds")
 
 
 DEFAULT_BOUNDS = CorpusBounds(
@@ -487,14 +487,14 @@ def _model_at(bounds: CorpusBounds, states: list, index: int) -> Model:
 
 
 def _contradictory_model(bounds: CorpusBounds) -> Model | None:
-    cls = bounds.class_names[0]
-    attr = bounds.attr_names[0] if bounds.attr_names else None
-    if attr is not None and len(bounds.type_names) >= 2:
-        t1, t2 = bounds.type_names[0], bounds.type_names[1]
-        return Model((ClassExists(cls), AttrTyped(cls, attr, t1), AttrTyped(cls, attr, t2)))
-    if attr is not None and bounds.include_complete:
-        return Model((ClassExists(cls), AttrTyped(cls, attr, bounds.type_names[0]), AttrComplete(cls, ())))
-    return None
+    """An attribute typed two ways, or typed and left out of a completeness constraint, if expressible."""
+    if not (bounds.class_names and bounds.attr_names and bounds.type_names):
+        return None
+    cls, attr, types = bounds.class_names[0], bounds.attr_names[0], bounds.type_names
+    typed = (ClassExists(cls), AttrTyped(cls, attr, types[0]))
+    if len(types) >= 2:
+        return Model(typed + (AttrTyped(cls, attr, types[1]),))
+    return Model(typed + (AttrComplete(cls, ()),)) if bounds.include_complete else None
 
 
 def generate_corpus(

@@ -6,12 +6,13 @@ over the pools.  A model denotes the set of systems satisfying all of its
 constraints.
 
 Because each constraint mentions exactly one class, every denotation is a
-product of per-class state sets, each one *class value*: every state (ANY),
-no state (NONE), or "present, with these (attr, type) pairs fixed and the
-rest free" (a frozenset), where type None fixes the attribute absent, so
-"exactly this attribute map" is the frozenset fixing every pool attribute.
-Their meet, subset and size cost the constraints, not the universe's
-states, so they stay exact far beyond the enumeration cap, below which alone
+product of per-class state sets.  It stores a *class value* only for the
+classes its constraints name: "present, with these (attr, type) pairs fixed
+and the rest free" (a frozenset), where type None fixes the attribute absent,
+so "exactly this attribute map" is the frozenset fixing every pool attribute.
+Every other class takes every state (ANY); a class with no state (NONE)
+empties the denotation.  Meet, subset and size cost the constraints, not the
+pools, so they stay exact far beyond the enumeration cap, below which alone
 systems are listed.  A universe hands out one Denotation object per
 distinct denotation, so two are equal exactly when they are identical.
 """
@@ -120,7 +121,6 @@ class Universe:
             if len(set(pool)) != len(pool):
                 raise UniverseError(f"duplicate names in {kind} pool: {pool}")
         _check_cap(self.sizes, self.cap, self)
-        self._meet_cache.update({ANY: {ANY: ANY}, NONE: {NONE: NONE}})  # see _intern
 
     @property
     def sizes(self) -> tuple[int, int, int]:
@@ -139,6 +139,10 @@ class Universe:
     @cached_property
     def system_count(self) -> int:
         return self.class_state_count ** len(self.class_pool)
+
+    @cached_property
+    def empty(self) -> "Denotation":  # the universe's one empty denotation
+        return Denotation(self, None)
 
     def count_at_most(self, bound: int) -> int | None:
         """system_count if it is at most bound, else None."""
@@ -202,15 +206,10 @@ def _intern(u: Universe, v):
 
 
 def _meet(u: Universe, a, b):
-    """The interned class value a & b, cached in interned a's row of u._meet_cache."""
-    if a is ANY or b is NONE:
-        r = b
-    elif b is ANY or a is NONE:
-        r = a
-    else:  # fixed pairs; one attribute fixed two ways (two types, or a type and absent) allows no state
-        r = a | b
-        r = NONE if len({attr for attr, _ in r}) < len(r) else r
-    r = u._meet_cache[a][b] = _intern(u, r)
+    """The interned meet of two fixed-pair sets, cached in a's row of u._meet_cache: NONE
+    where one attribute is fixed two ways (two types, or a type and absent)."""
+    r = a | b
+    r = u._meet_cache[a][b] = NONE if len({attr for attr, _ in r}) < len(r) else _intern(u, r)
     return r
 
 
@@ -226,56 +225,60 @@ def _value_states(u: Universe, v):
 
 @dataclass(frozen=True)
 class Denotation:
-    """A product of per-class state sets, one interned class value per pool
-    class (see the module docstring), built only by _canonical; the empty
-    denotation is canonically all-NONE so equality and hashing are structural."""
+    """A product of per-class state sets, built only by _canonical and Universe.empty:
+    `values` maps the pool index of each class the constraints name to its interned
+    class value (see the module docstring); it is None in the empty denotation."""
 
     universe: Universe
-    class_values: tuple
+    values: dict | None
 
     def __hash__(self) -> int:  # not the universe's: that would hash its pools
-        return hash(self.class_values)
+        return hash(None if self.values is None else frozenset(self.values.items()))
 
     @property
     def is_empty(self) -> bool:
-        return self.class_values[0] is NONE  # _canonical makes every value NONE if one is
+        return self.values is None
 
     @property
     def is_full(self) -> bool:
-        return all(v is ANY for v in self.class_values)
+        return self.values == {}
 
     @cached_property
     def size(self) -> int:
-        # one power per kind of factor: a product of one factor per pool class
-        # costs a big-integer multiplication per class
-        u, values = self.universe, self.class_values
-        if self.is_empty:
+        # one power per kind of factor, not a big-integer multiplication per pool class
+        u, values = self.universe, self.values
+        if values is None:
             return 0
-        free = sum(len(u.attr_pool) - len(v) for v in values if v is not ANY)
-        return u.class_state_count ** values.count(ANY) * u.attr_state_radix ** free
+        free = sum(len(u.attr_pool) - len(v) for v in values.values())
+        return u.class_state_count ** (len(u.class_pool) - len(values)) * u.attr_state_radix ** free
 
     def issubset(self, other: "Denotation") -> bool:
         u = self.universe
         if u is not other.universe and u != other.universe:
             raise UniverseError("denotations belong to different universes")
-        meets = u._meet_cache
-        for a, b in zip(self.class_values, other.class_values):
-            if a is not b and b is not ANY:  # else a & b is a
-                r = meets[a].get(b)
-                if (_meet(u, a, b) if r is None else r) is not a:
-                    return False
+        if self.values is None or other.values is None:
+            return self.values is None
+        mine = self.values
+        for ci, b in other.values.items():
+            a = mine.get(ci)  # None where self leaves the class free, so with states outside b
+            if a is None or not b <= a:  # a's states lie in b's exactly when a fixes all of b's pairs
+                return False
         return True
 
     def __and__(self, other: "Denotation") -> "Denotation":
         u = self.universe
         if u is not other.universe and u != other.universe:
             raise UniverseError("denotations belong to different universes")
-        meets, values = u._meet_cache, []
-        for a, b in zip(self.class_values, other.class_values):
-            if a is not b and b is not ANY:
+        if self.values is None or other.values is None:
+            return u.empty
+        meets, values = u._meet_cache, dict(self.values)
+        for ci, b in other.values.items():
+            a = values.setdefault(ci, b)
+            if a is not b:  # else a & b is a
                 r = meets[a].get(b)
-                a = _meet(u, a, b) if r is None else r
-            values.append(a)
+                r = values[ci] = _meet(u, a, b) if r is None else r
+                if r is NONE:
+                    return u.empty
         return _canonical(u, values)
 
     def _member_states(self, texts: bool = False):
@@ -285,7 +288,7 @@ class Denotation:
         u = self.universe
         if u.cap is None:  # a capped universe passed its cap when built
             _check_cap(u.sizes, DEFAULT_CAP, u)
-        columns = [_value_states(u, v) for v in self.class_values]
+        columns = [_value_states(u, self.values.get(ci, ANY)) for ci in range(len(u.class_pool))]
         if texts:
             columns = [[_state_text(u, ci, s) for s in states] for ci, states in enumerate(columns)]
         yield from itertools.product(*columns)
@@ -317,34 +320,30 @@ def _constraint_value(u: Universe, c: Constraint) -> tuple:
             raise UniverseError(f"type {t!r} not in universe")
     # an exact map fixes every attribute it does not list absent (type None)
     fixed = {**dict.fromkeys(u.attr_pool), **dict(pairs)} if exact else dict(pairs)
-    result = u._con_cache[c] = (ci, _intern(u, frozenset(fixed.items())))
-    return result
+    return u._con_cache.setdefault(c, (ci, _intern(u, frozenset(fixed.items()))))
 
 
-def _canonical(u: Universe, values: list) -> Denotation:
-    """The universe's one Denotation with these interned class values; a
-    vector with a NONE is cached as well as the all-NONE one it stands for."""
-    key = tuple(values)
+def _canonical(u: Universe, values: dict) -> Denotation:
+    """u's one Denotation with these per-class values; its empty one if a value is NONE."""
+    key = frozenset(values.items())
     d = u._den_cache.get(key)
     if d is None:
-        canon = (NONE,) * len(key) if NONE in key else key
-        d = u._den_cache.get(canon) or Denotation(u, canon)
-        u._den_cache[key] = u._den_cache[canon] = d
+        if NONE in values.values():
+            return u.empty
+        d = u._den_cache[key] = Denotation(u, values)
     return d
 
 
 def denotation(m: Model, u: Universe) -> Denotation:
     """The exact set of universe systems satisfying every constraint of m, as
     u's one Denotation object for that set."""
-    con_cache, meets = u._con_cache, u._meet_cache
-    values = [ANY] * len(u.class_pool)
+    con_cache, meets, values = u._con_cache, u._meet_cache, {}
     for c in m.constraints:
         ci, v = con_cache.get(c) or _constraint_value(u, c)
-        w = values[ci]
-        if w is not ANY and w is not v:  # else w & v is v
+        w = values.setdefault(ci, v)
+        if w is not v and w is not NONE:  # else w & v is w
             r = meets[w].get(v)
-            v = _meet(u, w, v) if r is None else r
-        values[ci] = v
+            values[ci] = _meet(u, w, v) if r is None else r
     return _canonical(u, values)
 
 

@@ -95,6 +95,13 @@ def test_corpus_contains_empty_and_contradiction(small_corpus):
     assert any(denotation(m, u).is_empty for m in small_corpus.models)
 
 
+@pytest.mark.parametrize("bounds", [((), ("x",), ("T",)), (("P",), ("x",), (), True), (("P",), (), ("T",), True)])
+def test_bounds_with_an_empty_list_express_no_contradiction(bounds):
+    corpus = generate_corpus(CorpusBounds(*bounds), max_models=8)
+    u = build_universe(corpus.models)
+    assert Model(()) in corpus.models and not any(denotation(m, u).is_empty for m in corpus.models)
+
+
 def test_sampled_corpus_respects_max_models():
     bounds = CorpusBounds(("P", "Q"), ("n", "m"), ("S", "T"), include_complete=True)
     corpus = generate_corpus(bounds, max_models=12)

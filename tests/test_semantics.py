@@ -36,7 +36,7 @@ from modelalg import (
 )
 from modelalg import OPERATORS, cli, default_corpus
 from modelalg.algebra import _flat_verdicts
-from modelalg.semantics import EXACT_DIGITS, NONE, _count_text, count_text
+from modelalg.semantics import EXACT_DIGITS, _count_text, count_text
 
 from .oracle import EnumOracle, enumerate_systems, naive_denotation, satisfies, to_bitset
 from .strategies import ATTRS, CLASSES, PADDED_UNIVERSE, TINY_UNIVERSE, TYPES, constraints, models
@@ -404,7 +404,7 @@ def test_one_denotation_object_per_set(m1, m2, rnd):
         assert denotation(Model(tuple(variant)), u) is d1
     if d1.is_empty:
         assert d1 is denotation(Model((PERSON_NO_ATTRS, PERSON_NAME)), u)
-        assert d1.class_values == (NONE,) * len(u.class_pool)
+        assert d1 is u.empty and d1.size == 0 and not list(d1.systems())
 
 
 @settings(max_examples=150)
@@ -590,7 +590,7 @@ def test_one_listing_decodes_each_class_state_once(monkeypatch):
         # a class's column: the distinct states it takes in the listing
         column_lengths = [len(set(parts)) for parts in zip(*texts)]
         assert len(decoded) == sum(column_lengths)
-        columns, products = columns + sum(column_lengths), products + len(texts) * len(d.class_values)
+        columns, products = columns + sum(column_lengths), products + len(texts) * len(d.universe.class_pool)
     assert columns * 10 < products
 
 
@@ -637,6 +637,26 @@ def test_cap_free_universe_of_a_hundred_fresh_names_each():
     small_dens = [denotation(m, small) for m in corpus.models]
     assert subsets == [a.issubset(b) for a in small_dens for b in small_dens]
     assert flags == [(d.is_full, d.is_empty) for d in small_dens + [a & b for a in small_dens for b in small_dens]]
+
+
+def test_cap_free_universe_of_a_hundred_thousand_fresh_classes():
+    # a denotation holds only the classes its constraints fix, so its work
+    # follows the constraints, not the pool
+    corpus = default_corpus()
+    u = build_universe(corpus.models, 100_000, 1, 1, cap=None)
+    small = build_universe(corpus.models)
+    start = time.perf_counter()
+    dens = [denotation(m, u) for m in corpus.models]
+    meets = [a & b for a in dens for b in dens]
+    subsets = [a.issubset(b) for a in dens for b in dens]
+    flags = [(d.is_full, d.is_empty) for d in dens + meets]
+    assert time.perf_counter() - start < 1
+    small_dens = [denotation(m, small) for m in corpus.models]
+    assert subsets == [a.issubset(b) for a in small_dens for b in small_dens]
+    assert flags == [(d.is_full, d.is_empty) for d in small_dens + [a & b for a in small_dens for b in small_dens]]
+    # the sizes' powers have about 600,000 bits, so they are left out of the timed work
+    closed_forms = _closed_form_sizes(u)
+    assert [denotation(m, u).size for m in closed_forms] == list(closed_forms.values())
 
 
 def test_sizes_in_a_universe_of_three_hundred_fresh_names_each():

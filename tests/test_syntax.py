@@ -274,10 +274,15 @@ def test_normalized_constraints_are_as_their_constructors_build_them(m):
     ((("bad name",), ("a",), ("T",)), "invalid class name: 'bad name'"),
     ((("P",), ("_a",), ("T",)), "invalid attribute name: '_a'"),
     ((("P",), ("a",), ("T", 1)), "invalid type name: 1"),
-    ((("P",), ("a", "b", "a"), ("T",), True), "duplicate attribute 'a' in completeness constraint"),
+    ((("P",), ("a", "b", "a"), ("T",), True), "duplicate attribute 'a' in corpus bounds"),
+    # a repeated name expands distinct choices to one model, so sampling could run out of models
+    ((("P", "P"), ("x",), ("T",)), "duplicate class 'P' in corpus bounds"),
+    ((("P", "Q"), ("a", "a"), ("T",)), "duplicate attribute 'a' in corpus bounds"),
+    ((("P",), ("a",), ("T", "T")), "duplicate type 'T' in corpus bounds"),
 ])
 def test_corpus_bounds_reject_names_the_constructors_reject(bounds, message):
     # generated models are expanded from the bounds' names without validation
     with pytest.raises(ValueError, match=re.escape(message)):
         CorpusBounds(*bounds)
-    assert CorpusBounds(("P",), ("a", "b", "a"), ("T",), include_complete=False)
+    with pytest.raises(ValueError, match=re.escape("duplicate attribute 'a' in corpus bounds")):
+        CorpusBounds(("P",), ("a", "b", "a"), ("T",), include_complete=False)
