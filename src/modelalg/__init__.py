@@ -55,7 +55,6 @@ from .syntax import (
     Diagnostic,
     Model,
     ParseError,
-    mentioned_classes,
     normalize,
     parse,
     parse_strict,

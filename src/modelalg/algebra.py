@@ -27,8 +27,7 @@ from .semantics import Denotation, Universe, build_universe, count_text, denotat
 from .syntax import AttrComplete, AttrTyped, ClassExists, Model, _check_ident, _show, expand, render  # noqa: F401
 
 MAX_WITNESSES = 10  # a verdict keeps its first failures' witnesses, and builds no other
-TRIPLE_SAMPLES = 10_000
-EXHAUSTIVE_TRIPLE_LIMIT = 20
+TRIPLE_SAMPLES = 10_000  # associativity checks all n**3 triples if at most this many, else samples this many
 
 
 def _pp_observed(c, a, b, dab, meet) -> str:
@@ -290,7 +289,7 @@ def _check_associativity(comp: _Composer, seed: int) -> dict:
     n = len(ids)
     # op(m_i, m_j) for every pair, memo hits after the pair pass, so a triple composes twice
     pairs = [[comp(a, b) for b in ids] for a in ids]
-    if n <= EXHAUSTIVE_TRIPLE_LIMIT:
+    if n**3 <= TRIPLE_SAMPLES:
         triples = itertools.product(range(n), repeat=3)
         exhaustive, checked = True, n**3
     else:

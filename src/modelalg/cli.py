@@ -93,7 +93,7 @@ def _load_corpus(args) -> algebra.Corpus:
 
 
 def _emit(text: str, args) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         try:
             Path(args.output).write_text(text, encoding="utf-8")
         except OSError as exc:

@@ -80,19 +80,13 @@ def _count_text(classes: int, attrs: int, types: int) -> str:
 class UniverseCapError(UniverseError):
     """The system count of pools of the given (class, attribute, type) sizes
     exceeds the cap.  `universe` is None when `build_universe` refused before
-    building the pools.  `system_count` is computed only when asked for,
-    since it may have millions of digits."""
+    building the pools."""
 
     def __init__(self, sizes: tuple[int, int, int], cap: int, universe: "Universe | None" = None):
         self.sizes = sizes
         self.cap = cap
         self.universe = universe
         super().__init__(f"universe has {_count_text(*sizes)} systems, exceeding the cap of {cap}")
-
-    @property
-    def system_count(self) -> int:
-        classes, attrs, types = self.sizes
-        return (1 + (types + 1) ** attrs) ** classes
 
 
 def _check_cap(sizes: tuple[int, int, int], cap: int | None, universe: "Universe | None" = None) -> None:
@@ -110,6 +104,7 @@ class Universe:
     _den_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _con_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _meet_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _size_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "class_pool", tuple(self.class_pool))
@@ -143,10 +138,6 @@ class Universe:
     @cached_property
     def empty(self) -> "Denotation":  # the universe's one empty denotation
         return Denotation(self, None)
-
-    def count_at_most(self, bound: int) -> int | None:
-        """system_count if it is at most bound, else None."""
-        return _count_at_most(*self.sizes, bound)
 
     def class_index(self, name: str) -> int:
         try:
@@ -227,13 +218,15 @@ def _value_states(u: Universe, v):
 class Denotation:
     """A product of per-class state sets, built only by _canonical and Universe.empty:
     `values` maps the pool index of each class the constraints name to its interned
-    class value (see the module docstring); it is None in the empty denotation."""
+    class value (see the module docstring); it is None in the empty denotation.
+    `key` is frozenset(values.items()), the universe's cache key for it."""
 
     universe: Universe
     values: dict | None
+    key: frozenset | None = field(default=None, compare=False, repr=False)
 
     def __hash__(self) -> int:  # not the universe's: that would hash its pools
-        return hash(None if self.values is None else frozenset(self.values.items()))
+        return hash(self.key)
 
     @property
     def is_empty(self) -> bool:
@@ -245,12 +238,15 @@ class Denotation:
 
     @cached_property
     def size(self) -> int:
-        # one power per kind of factor, not a big-integer multiplication per pool class
+        # memoized per universe by (free classes, free attributes): at padding 300 a power has 750,000 bits
         u, values = self.universe, self.values
         if values is None:
             return 0
-        free = sum(len(u.attr_pool) - len(v) for v in values.values())
-        return u.class_state_count ** (len(u.class_pool) - len(values)) * u.attr_state_radix ** free
+        free = len(u.class_pool) - len(values), sum(len(u.attr_pool) - len(v) for v in values.values())
+        size = u._size_cache.get(free)
+        if size is None:
+            size = u._size_cache[free] = u.class_state_count ** free[0] * u.attr_state_radix ** free[1]
+        return size
 
     def issubset(self, other: "Denotation") -> bool:
         u = self.universe
@@ -330,7 +326,7 @@ def _canonical(u: Universe, values: dict) -> Denotation:
     if d is None:
         if NONE in values.values():
             return u.empty
-        d = u._den_cache[key] = Denotation(u, values)
+        d = u._den_cache[key] = Denotation(u, values, key)
     return d
 
 

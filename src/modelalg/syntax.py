@@ -120,13 +120,14 @@ class Model:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str  # "error" | "warning"
+    """A parse error in the source text, at a 1-based line and column."""
+
     message: str
     line: int
     col: int
 
     def __str__(self) -> str:
-        return f"{self.severity}: {self.message} at {self.line}:{self.col}"
+        return f"error: {self.message} at {self.line}:{self.col}"
 
 
 class ParseError(Exception):
@@ -138,11 +139,6 @@ class ParseError(Exception):
 def syntactic_eq(m1: Model, m2: Model) -> bool:
     """Concrete-representation equality: same constraints, same order."""
     return m1.constraints == m2.constraints
-
-
-def mentioned_classes(m: Model) -> list[str]:
-    """Class names in first-mention order."""
-    return list(m.declared)
 
 
 _Decl = namedtuple("_Decl", "cls attrs complete")
@@ -192,7 +188,7 @@ def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
         if tok.isspace() or tok.startswith("//"):
             continue
         if match.lastindex:
-            diags.append(Diagnostic("error", f"unexpected character {tok!r}", tline, tcol))
+            diags.append(Diagnostic(f"unexpected character {tok!r}", tline, tcol))
         elif tok in _PUNCT:
             tokens.append(_Token(_PUNCT[tok], tok, tline, tcol))
         elif tok in _KEYWORDS:
@@ -224,8 +220,8 @@ _PAIRS_RE = re.compile(rf"//[^\n]*|({_NAME}){_SEP}*:{_SEP}*({_NAME})")
 
 
 def parse(text: str) -> tuple[Model | None, list[Diagnostic]]:
-    """Parse source text; returns (model, diagnostics).  The model is None
-    exactly when an error diagnostic was produced.
+    """Parse source text; returns (model, diagnostics).  Every diagnostic is
+    an error, and the model is None exactly when there is one.
 
     Each declaration expands to constraints as `expand` says.  A well-formed
     text is matched one declaration at a time; any other text goes to the
@@ -258,7 +254,7 @@ def _parse_tokens(text: str) -> tuple[Model | None, list[Diagnostic]]:
     i = 0
 
     def err(msg: str, tok: _Token) -> None:
-        diags.append(Diagnostic("error", msg, tok.line, tok.col))
+        diags.append(Diagnostic(msg, tok.line, tok.col))
 
     def take(kind: str, expected: str) -> str | None:
         """Consume the next token and return its text if it has this kind;
@@ -312,15 +308,13 @@ def _parse_tokens(text: str) -> tuple[Model | None, list[Diagnostic]]:
         while tokens[i].kind not in ("KW_CLASS", "KW_COMPLETE", "EOF"):
             i += 1
 
-    if any(d.severity == "error" for d in diags):
-        return None, diags
-    return Model(expand(decls)), diags
+    return (None, diags) if diags else (Model(expand(decls)), [])
 
 
 def parse_strict(text: str) -> Model:
     model, diags = parse(text)
     if model is None:
-        raise ParseError([d for d in diags if d.severity == "error"])
+        raise ParseError(diags)
     return model
 
 

@@ -205,6 +205,15 @@ def test_associativity_samples_above_threshold():
     assert verdicts["Ass"].holds and verdicts["Ass_sm"].holds
 
 
+@pytest.mark.parametrize("size, exhaustive, checked", [(20, True, 8_000), (21, True, 9_261), (22, False, 10_000)])
+def test_associativity_is_exhaustive_exactly_when_the_triples_fit_the_sample(size, exhaustive, checked):
+    bounds = CorpusBounds(("P", "Q"), ("n", "m"), ("S", "T"), include_complete=True)
+    corpus = generate_corpus(bounds, max_models=size)
+    assert len(corpus.models) == size
+    for v in check_associativity("union", corpus, build_universe(corpus.models)).values():
+        assert (v.exhaustive, v.checked) == (exhaustive, checked)
+
+
 def test_sample_triples_is_a_fresh_seeded_draw():
     for n, seed in ((36, 42), (25, 7)):
         rng = random.Random(seed)
@@ -455,7 +464,7 @@ def _eager_associativity(comp, seed: int) -> dict:
     compared structurally."""
     ids, u = comp.ids, comp.u
     n = len(ids)
-    exhaustive = n <= algebra.EXHAUSTIVE_TRIPLE_LIMIT
+    exhaustive = n**3 <= algebra.TRIPLE_SAMPLES
     triples = itertools.product(range(n), repeat=3) if exhaustive else algebra._sample_triples(n, seed)
     syn, sem = [], []
     for i, j, k in triples:
@@ -723,6 +732,29 @@ def test_congruence_witness_is_sound(small_corpus, small_universe, small_oracle)
 
         f = get_operator(op)
         assert not small_oracle.eq(small_oracle.den(f(ma, mb)), small_oracle.den(f(ra, rb)))
+
+
+def test_congruence_failure_witnesses_replay_against_the_oracle():
+    # the first two models are contradictory in different classes, so they form one semantic class
+    corpus = Corpus(tuple(map(parse_strict, (
+        "class P { n: S } class P { n: T }", "class Q { m: S } class Q { m: T }", "class P { n: S }"))), "congruence")
+    u = build_universe(corpus.models)
+    oracle = EnumOracle(u)
+    part = quotient(corpus, u)
+    assert part.classes == ((0, 1), (2,))
+    failing = []
+    for op, f in sorted(OPERATORS.items()):
+        verdict = congruence_check(op, part, u)
+        if verdict.holds:
+            continue
+        failing.append(op)
+        for w in verdict.witnesses:
+            ma, mb, ra, rb = map(parse_witness, w.models)
+            assert oracle.eq(oracle.den(ma), oracle.den(ra)) and oracle.eq(oracle.den(mb), oracle.den(rb))
+            dm, dr = oracle.den(f(ma, mb)), oracle.den(f(ra, rb))
+            assert not oracle.eq(dm, dr)
+            assert w.observed == f"|sm(op(ma,mb))|={dm.sum()}, |sm(op(rep_i,rep_j))|={dr.sum()}"
+    assert failing == ["intersect", "override"]
 
 
 @pytest.mark.parametrize("op", sorted(OPERATORS))

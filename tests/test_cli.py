@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from modelalg import Model, cli
+from modelalg import Model, algebra, cli
 from modelalg.cli import main
 
 PERSON_NAME = "class Person { name: String }\n"
@@ -184,6 +184,13 @@ def test_bad_universe_spec_exits_2(files, capsys, spec, message):
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+def test_unreadable_universe_spec_exits_2(files, capsys):
+    missing = files / "missing.json"
+    code, err = run_refused(capsys, "sm", files / "name.mcd", "--universe", missing)
+    assert code == 2
+    assert err.startswith(f"cannot read universe spec {missing}: ") and err.count("\n") == 1
+
+
 def test_negative_padding_exits_2(files, capsys):
     code, err = run_refused(capsys, "sm", files / "name.mcd", "--padding=-1,0,0")
     assert code == 2
@@ -349,6 +356,25 @@ def test_stability_small(files, capsys):
     code, out, _ = run(capsys, "stability", "--operator", "union", "--corpus", corpus_dir)
     assert code == 0
     assert out == "union: stable\n"
+
+
+def test_stability_lists_the_differing_verdicts(capsys):
+    code, out, _ = run(capsys, "stability", "--operator", "strict")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 25
+    assert lines[0] == "strict: unstable"
+    assert lines[1] == "  table2[4].Ri_comp" and lines[-1] == "  table2[29].I_comp"
+
+
+def test_failed_implication_audit_exits_4(files, capsys, monkeypatch):
+    corpus_dir = files / "corpus"
+    corpus_dir.mkdir()
+    (corpus_dir / "a.mcd").write_text(PERSON_NAME)
+    monkeypatch.setattr(algebra, "_implication_audit", lambda table1, table2: ("FPP => PP",))
+    code, out, err = run(capsys, "classify", "--operator", "union", "--corpus", corpus_dir)
+    assert code == 4
+    assert "\nimplication audit: VIOLATIONS\n  FPP => PP\ntheorem 1 " in out
+    assert err == "error: implication audit failed (checker self-defect)\n"
 
 
 def test_unknown_operator_rejected(files, capsys):

@@ -193,6 +193,7 @@ REQUESTS = (
     (["compose", "--operator", "nope", "name.mcd", "age.mcd"], 2),
     (["sm"], 2),
     (["sm", "name.mcd", "--padding", "1,1"], 2),
+    (["sm", "name.mcd", "--padding", "a,b,c"], 2),
     (["classify", "--corpus", "corpus"], 2),
     (["check", "refines", "name.mcd"], 2),
     (["compose", "--operator", "union", "missing.mcd", "name.mcd"], 2),

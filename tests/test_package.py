@@ -16,7 +16,7 @@ EXPORTS = {
     "Witness", "build_universe", "check_associativity", "check_element", "check_pairs",
     "classify", "congruence_check", "default_corpus", "denotation",
     "generate_corpus", "get_operator", "intersect_merge", "is_consistent", "is_uninformative",
-    "load_universe", "mentioned_classes", "normalize", "override_merge", "paranoid_merge", "parse",
+    "load_universe", "normalize", "override_merge", "paranoid_merge", "parse",
     "parse_strict", "quotient", "refines", "render", "semantically_eq", "stability_check", "strict_merge",
     "syntactic_eq", "union_merge", "universe_from_spec",
 }

@@ -82,18 +82,28 @@ def test_count_formula():
 def test_cap_exceeded():
     with pytest.raises(UniverseCapError) as exc:
         Universe(tuple(f"C{i}" for i in range(10)), ("a", "b", "c"), ("S", "T"), cap=1 << 20)
-    assert str(exc.value.system_count) in str(exc.value)
+    assert "296196766695424" in str(exc.value)  # (1 + 3**3) ** 10
     assert str(exc.value.cap) in str(exc.value)
 
 
 def test_cap_compares_exactly_at_the_boundary():
     u = Universe(("A", "B"), ("x",), ("S",), cap=None)
     assert u.system_count == 9
-    assert u.count_at_most(9) == 9 and u.count_at_most(8) is None
     assert Universe(("A", "B"), ("x",), ("S",), cap=9).system_count == 9
     with pytest.raises(UniverseCapError) as exc:
         Universe(("A", "B"), ("x",), ("S",), cap=8)
     assert str(exc.value) == "universe has 9 systems, exceeding the cap of 8"
+
+
+def test_listing_a_cap_free_universe_past_the_default_cap_is_refused():
+    u = build_universe(default_corpus().models, 2, 2, 2, cap=None)
+    assert u.system_count == 153_566_799_376
+    full = denotation(Model(()), u)
+    for listing in (full.systems, full.system_texts, full.indices):
+        with pytest.raises(UniverseCapError) as exc:
+            next(iter(listing()))
+        assert str(exc.value) == "universe has 153566799376 systems, exceeding the cap of 1048576"
+        assert exc.value.universe is u
 
 
 def _pools(classes, attrs, types):
