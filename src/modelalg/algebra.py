@@ -161,10 +161,6 @@ class Partition:
     corpus: Corpus
     classes: tuple[tuple[int, ...], ...]
 
-    @property
-    def representatives(self) -> tuple[int, ...]:
-        return tuple(cls[0] for cls in self.classes)
-
 
 @dataclass(frozen=True)
 class OperatorReport:
@@ -396,9 +392,7 @@ def _implication_audit(table1: dict, table2) -> tuple[str, ...]:
 
 @contextmanager
 def _collector_paused():
-    """Pause the cyclic garbage collector: a classification leaves no cyclic garbage while its
-    universe is referenced.  The universe and its cached denotations form a cycle, so a dropped
-    universe waits for a collection after the pause."""
+    """Pause the cyclic garbage collector: a classification leaves no cyclic garbage."""
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -12,15 +12,16 @@ and the rest free" (a frozenset), where type None fixes the attribute absent,
 so "exactly this attribute map" is the frozenset fixing every pool attribute.
 Every other class takes every state (ANY); a class with no state (NONE)
 empties the denotation.  Meet, subset and size cost the constraints, not the
-pools, so they stay exact far beyond the enumeration cap, below which alone
-systems are listed.  A universe hands out one Denotation object per
-distinct denotation, so two are equal exactly when they are identical.
+pools, so they stay exact far beyond the enumeration cap, below which alone systems
+are listed.  A universe hands out one Denotation object per distinct denotation while
+that object is alive, so two live ones are equal exactly when they are identical.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import log10
@@ -135,9 +136,12 @@ class Universe:
     def system_count(self) -> int:
         return self.class_state_count ** len(self.class_pool)
 
-    @cached_property
+    @property
     def empty(self) -> "Denotation":  # the universe's one empty denotation
-        return Denotation(self, None)
+        return _canonical(self, None)
+
+    def __reduce__(self):  # weak references do not pickle: a copy starts with empty caches
+        return Universe, (self.class_pool, self.attr_pool, self.type_pool, self.cap)
 
     def class_index(self, name: str) -> int:
         try:
@@ -216,17 +220,20 @@ def _value_states(u: Universe, v):
 
 @dataclass(frozen=True)
 class Denotation:
-    """A product of per-class state sets, built only by _canonical and Universe.empty:
+    """A product of per-class state sets, built only by _canonical:
     `values` maps the pool index of each class the constraints name to its interned
     class value (see the module docstring); it is None in the empty denotation.
-    `key` is frozenset(values.items()), the universe's cache key for it."""
+    `key` is the universe's cache key for it: frozenset(values.items()), or None."""
 
     universe: Universe
     values: dict | None
-    key: frozenset | None = field(default=None, compare=False, repr=False)
+    key: frozenset | None = field(compare=False, repr=False)
 
     def __hash__(self) -> int:  # not the universe's: that would hash its pools
         return hash(self.key)
+
+    def __reduce__(self):  # a copy is its universe copy's canonical Denotation
+        return _canonical, (self.universe, self.values)
 
     @property
     def is_empty(self) -> bool:
@@ -267,15 +274,7 @@ class Denotation:
             raise UniverseError("denotations belong to different universes")
         if self.values is None or other.values is None:
             return u.empty
-        meets, values = u._meet_cache, dict(self.values)
-        for ci, b in other.values.items():
-            a = values.setdefault(ci, b)
-            if a is not b:  # else a & b is a
-                r = meets[a].get(b)
-                r = values[ci] = _meet(u, a, b) if r is None else r
-                if r is NONE:
-                    return u.empty
-        return _canonical(u, values)
+        return _met(u, dict(self.values), other.values.items())
 
     def _member_states(self, texts: bool = False):
         """Member state tuples, or with texts their per-class texts, in the canonical enumeration order."""
@@ -319,28 +318,34 @@ def _constraint_value(u: Universe, c: Constraint) -> tuple:
     return u._con_cache.setdefault(c, (ci, _intern(u, frozenset(fixed.items()))))
 
 
-def _canonical(u: Universe, values: dict) -> Denotation:
-    """u's one Denotation with these per-class values; its empty one if a value is NONE."""
-    key = frozenset(values.items())
-    d = u._den_cache.get(key)
-    if d is None:
-        if NONE in values.values():
-            return u.empty
-        d = u._den_cache[key] = Denotation(u, values, key)
+def _canonical(u: Universe, values: dict | None) -> Denotation:
+    """u's one live Denotation with these values (None: its empty one); u._den_cache holds it weakly."""
+    key = None if values is None else frozenset(values.items())
+    ref = u._den_cache.get(key)
+    d = None if ref is None else ref()
+    if d is None:  # values are interned again only for a pickled or copied Denotation's sake
+        d = Denotation(u, values and {ci: _intern(u, v) for ci, v in values.items()}, key)
+        u._den_cache[key] = weakref.ref(d)
     return d
 
 
-def denotation(m: Model, u: Universe) -> Denotation:
-    """The exact set of universe systems satisfying every constraint of m, as
-    u's one Denotation object for that set."""
-    con_cache, meets, values = u._con_cache, u._meet_cache, {}
-    for c in m.constraints:
-        ci, v = con_cache.get(c) or _constraint_value(u, c)
+def _met(u: Universe, values: dict, pairs) -> Denotation:
+    """u's one Denotation of fresh dict values met with each (class index, interned value) pair."""
+    meets = u._meet_cache
+    for ci, v in pairs:
         w = values.setdefault(ci, v)
-        if w is not v and w is not NONE:  # else w & v is w
+        if w is not v:  # else w & v is w
             r = meets[w].get(v)
-            values[ci] = _meet(u, w, v) if r is None else r
+            r = values[ci] = _meet(u, w, v) if r is None else r
+            if r is NONE:
+                return u.empty
     return _canonical(u, values)
+
+
+def denotation(m: Model, u: Universe) -> Denotation:
+    """u's one Denotation for the exact set of systems satisfying every constraint of m."""
+    con_cache = u._con_cache  # resolve all first, so an unknown name raises after a contradiction too
+    return _met(u, {}, [con_cache.get(c) or _constraint_value(u, c) for c in m.constraints])
 
 
 def is_consistent(m: Model, u: Universe) -> bool:
@@ -406,6 +411,6 @@ def load_universe(path) -> Universe:
     with open(path, encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
-        except ValueError as exc:  # malformed JSON or text
+        except (ValueError, RecursionError) as exc:  # malformed or too deeply nested JSON, or text
             raise UniverseError(f"universe spec {path} is not valid JSON: {exc}") from None
     return universe_from_spec(spec)

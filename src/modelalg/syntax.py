@@ -74,9 +74,6 @@ class AttrComplete(_Atom, namedtuple("AttrComplete", "cls attrs")):
         taken from already validated constraints, with no attribute twice."""
         return tuple.__new__(_cls, (cls, attrs))
 
-    def attr_map(self) -> dict[str, str]:
-        return dict(self.attrs)
-
 
 Constraint = ClassExists | AttrTyped | AttrComplete
 

@@ -52,7 +52,7 @@ def satisfies(s: System, c) -> bool:
         return attrs is not None
     if isinstance(c, AttrTyped):
         return attrs is not None and attrs.get(c.attr) == c.type
-    return attrs is not None and attrs == c.attr_map()
+    return attrs is not None and attrs == dict(c.attrs)
 
 
 def to_bitset(d) -> int:

@@ -698,7 +698,6 @@ def test_quotient_groups_permutations(small_universe, small_corpus):
     corpus = Corpus((a, b, doubled, distinct), "variants")
     part = quotient(corpus, small_universe)
     assert part.classes == ((0, 1, 2), (3,))
-    assert part.representatives == (0, 3)
 
 
 def test_quotient_singletons(small_universe):
@@ -718,43 +717,38 @@ def test_congruence_trivial_on_singletons(small_universe):
     assert congruence_check("paranoid", part, small_universe).holds
 
 
-def test_congruence_witness_is_sound(small_corpus, small_universe, small_oracle):
-    # non-FPP operators may break the congruence; when they do, the witness
-    # must re-validate against the oracle
-    part = quotient(small_corpus, small_universe)
-    for op in ("strict", "override", "paranoid", "intersect"):
-        verdict = congruence_check(op, part, small_universe)
-        if verdict.holds:
-            continue
-        w = verdict.witnesses[0]
-        ma, mb, ra, rb = (parse_witness(t) for t in w.models)
-        from modelalg import get_operator
-
-        f = get_operator(op)
-        assert not small_oracle.eq(small_oracle.den(f(ma, mb)), small_oracle.den(f(ra, rb)))
-
-
 def test_congruence_failure_witnesses_replay_against_the_oracle():
-    # the first two models are contradictory in different classes, so they form one semantic class
-    corpus = Corpus(tuple(map(parse_strict, (
+    # in the first corpus the first two models are contradictory in different classes, so they
+    # form one semantic class; on the default corpus every operator is a congruence
+    contradictions = Corpus(tuple(map(parse_strict, (
         "class P { n: S } class P { n: T }", "class Q { m: S } class Q { m: T }", "class P { n: S }"))), "congruence")
-    u = build_universe(corpus.models)
-    oracle = EnumOracle(u)
-    part = quotient(corpus, u)
-    assert part.classes == ((0, 1), (2,))
-    failing = []
-    for op, f in sorted(OPERATORS.items()):
-        verdict = congruence_check(op, part, u)
-        if verdict.holds:
-            continue
-        failing.append(op)
-        for w in verdict.witnesses:
-            ma, mb, ra, rb = map(parse_witness, w.models)
-            assert oracle.eq(oracle.den(ma), oracle.den(ra)) and oracle.eq(oracle.den(mb), oracle.den(rb))
-            dm, dr = oracle.den(f(ma, mb)), oracle.den(f(ra, rb))
-            assert not oracle.eq(dm, dr)
-            assert w.observed == f"|sm(op(ma,mb))|={dm.sum()}, |sm(op(rep_i,rep_j))|={dr.sum()}"
-    assert failing == ["intersect", "override"]
+    for corpus, count, shared, expected in (
+        (contradictions, 2, ((0, 1),), ["intersect", "override"]),
+        (default_corpus(), 30, ((1, 30, 31), (2, 32, 33), (3, 34, 35)), []),
+    ):
+        u = build_universe(corpus.models)
+        oracle = EnumOracle(u)
+        part = quotient(corpus, u)
+        assert len(part.classes) == count and tuple(c for c in part.classes if len(c) > 1) == shared
+        rep = {i: c[0] for c in part.classes for i in c}
+        members = {i for c in shared for i in c}
+        pairs = [(a, b) for a, b in itertools.product(rep, repeat=2) if a in members or b in members]
+        ms, failing = corpus.models, []
+        for op, f in sorted(OPERATORS.items()):
+            verdict = congruence_check(op, part, u)
+            if verdict.holds:
+                # every pair with a member of a class of several models composes as its representatives do
+                for a, b in pairs:
+                    assert oracle.eq(oracle.den(f(ms[a], ms[b])), oracle.den(f(ms[rep[a]], ms[rep[b]])))
+                continue
+            failing.append(op)
+            for w in verdict.witnesses:
+                ma, mb, ra, rb = map(parse_witness, w.models)
+                assert oracle.eq(oracle.den(ma), oracle.den(ra)) and oracle.eq(oracle.den(mb), oracle.den(rb))
+                dm, dr = oracle.den(f(ma, mb)), oracle.den(f(ra, rb))
+                assert not oracle.eq(dm, dr)
+                assert w.observed == f"|sm(op(ma,mb))|={dm.sum()}, |sm(op(rep_i,rep_j))|={dr.sum()}"
+        assert failing == expected
 
 
 @pytest.mark.parametrize("op", sorted(OPERATORS))
@@ -799,20 +793,21 @@ def test_classify_leaves_the_collector_as_it_found_it(monkeypatch, small_corpus,
 
 @pytest.mark.parametrize("op", sorted(OPERATORS))
 def test_classify_and_its_report_make_no_reference_cycles(op):
-    # the premise of pausing the collector: with the universe still
-    # referenced, nothing a classification and its report leave is a cycle
+    # the premise of pausing the collector: nothing a classification, its report and
+    # its universe leave is a cycle, so dropping them frees all by reference counting
     corpus = default_corpus()
     u = build_universe(corpus.models)
     was = gc.isenabled()
     gc.collect()
     gc.disable()  # no automatic pass may free a cycle before the count
     try:
-        report_to_json(classify(op, corpus, u))
+        text = report_to_json(classify(op, corpus, u))
+        assert u.attr_pool and text
+        del u, text
         assert gc.collect() == 0
     finally:
         if was:
             gc.enable()
-    assert u.attr_pool
 
 
 # --- stability --------------------------------------------------------------

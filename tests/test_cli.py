@@ -176,6 +176,7 @@ def test_check_wrong_number_of_models(files, capsys, predicate, count):
     ("classes: [Person]", "is not valid JSON"),
     (json.dumps({"classes": ["bad name"], "attrs": ["name"], "types": ["String"]}),
      "invalid name in universe spec: 'bad name'"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "is not valid JSON", id="deeply-nested"),
 ])
 def test_bad_universe_spec_exits_2(files, capsys, spec, message):
     (files / "spec.json").write_text(spec)

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import pickle
 import time
+import weakref
 from collections import namedtuple
 from math import log10
 
@@ -176,6 +177,36 @@ def test_universe_pickle_and_replace_round_trip():
     assert (wider.attr_state_radix, wider.class_state_count, wider.system_count) == (3, 10, 100)
     with pytest.raises(UniverseCapError):
         dataclasses.replace(u, cap=24)
+
+
+def test_copied_denotations_are_canonical_in_the_copied_universe():
+    # a universe pickles and copies as its pools and cap, so copied denotations are rebuilt in the copy
+    models = default_corpus().models
+    u = build_universe(models)
+    mine = [denotation(m, u) for m in models] + [u.empty]
+    classify("strict", default_corpus(), u)
+    assert pickle.dumps(u) == pickle.dumps(Universe(u.class_pool, u.attr_pool, u.type_pool, u.cap))
+    assert all(a is b for a, b in zip(copy.copy(mine), mine))
+    for other, theirs in (pickle.loads(pickle.dumps((u, mine))), copy.deepcopy((u, mine))):
+        assert other == u and other is not u and all(d.universe is other for d in theirs)
+        # meets first, before any denotation() call of the copy interns its class values
+        assert [(a & b, a.issubset(b)) for a in theirs for b in theirs] == [
+            (a & b, a.issubset(b)) for a in mine for b in mine]
+        assert theirs == mine and theirs[-1] is other.empty
+        assert all(d is denotation(m, other) for d, m in zip(theirs, models))
+
+
+def test_the_universe_holds_its_denotations_weakly():
+    u = build_universe([PERSON])
+    d = denotation(PERSON, u)
+    dead, keys = weakref.ref(d), len(u._den_cache)
+    del d
+    assert dead() is None
+    again = denotation(PERSON, u)
+    assert again is denotation(PERSON, u) and len(u._den_cache) == keys
+    gone = weakref.ref(u)
+    del u, again
+    assert gone() is None
 
 
 def test_duplicate_pool_name_rejected():
