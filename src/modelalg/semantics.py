@@ -200,14 +200,6 @@ def _intern(u: Universe, v):
     return u._meet_cache.setdefault(v, {v: v})[v]
 
 
-def _meet(u: Universe, a, b):
-    """The interned meet of two fixed-pair sets, cached in a's row of u._meet_cache: NONE
-    where one attribute is fixed two ways (two types, or a type and absent)."""
-    r = a | b
-    r = u._meet_cache[a][b] = NONE if len({attr for attr, _ in r}) < len(r) else _intern(u, r)
-    return r
-
-
 def _value_states(u: Universe, v):
     """The per-class states class value v allows, ascending; for listing only."""
     if v is ANY:
@@ -336,7 +328,10 @@ def _met(u: Universe, values: dict, pairs) -> Denotation:
         w = values.setdefault(ci, v)
         if w is not v:  # else w & v is w
             r = meets[w].get(v)
-            r = values[ci] = _meet(u, w, v) if r is None else r
+            if r is None:  # the meet, interned and cached in w's row: NONE where an attribute is fixed two ways
+                r = w | v
+                r = meets[w][v] = NONE if len({attr for attr, _ in r}) < len(r) else _intern(u, r)
+            values[ci] = r
             if r is NONE:
                 return u.empty
     return _canonical(u, values)

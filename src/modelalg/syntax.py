@@ -8,16 +8,20 @@ tables) but never for the semantics, which is a pure conjunction.
 from __future__ import annotations
 
 import re
+import string
+from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 _NAME = r"[A-Za-z][A-Za-z0-9_]*"
 IDENT_RE = re.compile(_NAME + r"\Z")
+_KEYWORDS = {"class", "complete"}
 
 
 def _check_ident(name: str, what: str) -> None:
-    if not isinstance(name, str) or not IDENT_RE.match(name):
+    if not isinstance(name, str) or not IDENT_RE.match(name) or name in _KEYWORDS:
         raise ValueError(f"invalid {what} name: {name!r}")
 
 
@@ -156,156 +160,100 @@ def expand(decls) -> tuple[Constraint, ...]:
     return tuple(out)
 
 
-# --- lexer -----------------------------------------------------------------
-
-_KEYWORDS = {"class", "complete"}
-
-
-# kind: IDENT, LBRACE, RBRACE, COLON, COMMA, KW_CLASS, KW_COMPLETE or EOF
-_Token = namedtuple("_Token", "kind text line col")
-
-
-_PUNCT = {"{": "LBRACE", "}": "RBRACE", ":": "COLON", ",": "COMMA"}
-# the last alternative captures any other single character
-_LEX_RE = re.compile(_NAME + r"|[{}:,]|//[^\n]*|[ \t\r]+|\n|(.)")
-
-
-def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
-    tokens: list[_Token] = []
-    diags: list[Diagnostic] = []
-    line, col = 1, 1
-    for match in _LEX_RE.finditer(text):
-        tok = match.group()
-        tline, tcol = line, col
-        if tok == "\n":
-            line += 1
-            col = 1
-            continue
-        col += len(tok)
-        if tok.isspace() or tok.startswith("//"):
-            continue
-        if match.lastindex:
-            diags.append(Diagnostic(f"unexpected character {tok!r}", tline, tcol))
-        elif tok in _PUNCT:
-            tokens.append(_Token(_PUNCT[tok], tok, tline, tcol))
-        elif tok in _KEYWORDS:
-            tokens.append(_Token("KW_" + tok.upper(), tok, tline, tcol))
-        else:
-            tokens.append(_Token("IDENT", tok, tline, tcol))
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens, diags
-
-
 # --- parser ----------------------------------------------------------------
 
-# One declaration of a well-formed text, after the blanks and comments that
-# lead up to it, or else the blanks and comments that end the text.  The
-# pattern accepts exactly what the token parser accepts without an error,
-# except that it lets a repeated attribute through, which `parse` checks.
-# Blanks are the characters `str.isspace` accepts, as in `_lex`; a comment
-# must run to the end of its line, so that backtracking cannot end it early
-# and read the rest of the line as source.
-_SEP = r"(?:\s|//[^\n]*(?![^\n]))"
-_IDENT = rf"(?!(?:{'|'.join(sorted(_KEYWORDS))})(?![A-Za-z0-9_])){_NAME}"
-_PAIR = rf"{_IDENT}{_SEP}*:{_SEP}*{_IDENT}"
-_DECL_RE = re.compile(
-    rf"{_SEP}*(?:(?:(complete){_SEP}+)?class{_SEP}+({_IDENT}){_SEP}*"
-    rf"\{{({_SEP}*(?:{_PAIR}{_SEP}*(?:,{_SEP}*{_PAIR}{_SEP}*)*)?)\}}|\Z)"
-)
-# the (attribute, type) pairs of a matched body; a comment yields ("", "")
-_PAIRS_RE = re.compile(rf"//[^\n]*|({_NAME}){_SEP}*:{_SEP}*({_NAME})")
+# A name, a punctuation mark, a comment or a stray character.  Blanks are the
+# characters `str.isspace` accepts; no quantifier nests, so the scan is linear.
+_TOKEN_RE = re.compile(_NAME + r"|[{}:,]|//[^\n]*|\S")
+_GRAMMAR_STARTS = frozenset(string.ascii_letters + "{}:,")  # first characters of the tokens read
+_NOT_NAMES = _KEYWORDS | {"{", "}", ":", ",", ""}  # "" is the end
 
 
 def parse(text: str) -> tuple[Model | None, list[Diagnostic]]:
     """Parse source text; returns (model, diagnostics).  Every diagnostic is
     an error, and the model is None exactly when there is one.
 
-    Each declaration expands to constraints as `expand` says.  A well-formed
-    text is matched one declaration at a time; any other text goes to the
-    token parser, which alone reports diagnostics and recovers from errors.
+    Each declaration expands to constraints as `expand` says.  Stray characters
+    are reported first, and the rest is read as if they were absent.
     """
-    decls: list[_Decl] = []
-    pos = 0
-    while m := _DECL_RE.match(text, pos):
-        complete, cls, body = m.groups()
-        if cls is None:
-            return Model(expand(decls)), []
-        attrs = tuple(pair for pair in _PAIRS_RE.findall(body) if pair[0])
-        if len(dict(attrs)) != len(attrs):
-            break
-        decls.append(_Decl(cls, attrs, complete is not None))
-        pos = m.end()
-    return _parse_tokens(text)
-
-
-def _parse_tokens(text: str) -> tuple[Model | None, list[Diagnostic]]:
-    """`parse` by lexing and walking the tokens, with diagnostics.
-
-    Each grammar step is one `take`.  After the first error in a declaration,
-    the rest of it is skipped up to the next 'class', 'complete' or the end.
-    A repeated attribute is reported at its name; the rest of the pair list
-    is still read, and then the declaration is dropped.
-    """
-    tokens, diags = _lex(text)
+    found = _TOKEN_RE.findall(text)
+    toks = [t for t in found if t[0] in _GRAMMAR_STARTS]
+    toks.append("")
+    # a stray character is a dropped token that is not a comment; found goes
+    # before the walk, as each collection during it would traverse a long one
+    strays = len(toks) <= len(found) and any(t[:2] != "//" for t in found if t[0] not in _GRAMMAR_STARTS)
+    del found
+    errs: list[tuple[int, str]] = []  # (index in toks, message)
     decls: list[_Decl] = []
     i = 0
-
-    def err(msg: str, tok: _Token) -> None:
-        diags.append(Diagnostic(msg, tok.line, tok.col))
-
-    def take(kind: str, expected: str) -> str | None:
-        """Consume the next token and return its text if it has this kind;
-        else report what was expected there and return None."""
-        nonlocal i
-        tok = tokens[i]
-        if tok.kind != kind:
-            err(f"expected {expected}", tok)
-            return None
-        i += 1
-        return tok.text
-
-    def pair_list(cls: str) -> dict[str, str] | None:
-        """The attribute pairs up to the '}', or None after an error in them."""
-        nonlocal i
-        attrs: dict[str, str] = {}
-        ok = True
-        more = tokens[i].kind == "IDENT"
-        while more:
-            name = tokens[i]
-            if not (
-                take("IDENT", "attribute name")
-                and take("COLON", "':' after attribute name")
-                and (typ := take("IDENT", "type name"))
-            ):
-                return None
-            if name.text in attrs:
-                err(f"duplicate attribute {name.text!r} in declaration of {cls!r}", name)
-                ok = False
-            attrs[name.text] = typ
-            more = tokens[i].kind == "COMMA"
-            if more:
+    while toks[i]:
+        decl, i = _declaration(toks, i, errs)
+        if decl:
+            decls.append(decl)
+        else:  # skip the rest of the declaration
+            while toks[i] not in ("class", "complete", ""):
                 i += 1
-        return attrs if ok else None
+    if errs or strays:
+        return None, _diagnostics(text, errs)
+    return Model(expand(decls)), []
 
-    while tokens[i].kind != "EOF":
-        complete = tokens[i].kind == "KW_COMPLETE"
-        if complete:
-            i += 1
-        if take("KW_CLASS", f"'class', found {tokens[i].text!r}") is None:
-            if tokens[i].kind != "EOF":  # a trailing 'complete' leaves only EOF
-                i += 1
-        elif (
-            (cls := take("IDENT", "class name"))
-            and take("LBRACE", "'{'")
-            and (attrs := pair_list(cls)) is not None
-            and take("RBRACE", "'}'")
-        ):
-            decls.append(_Decl(cls, tuple(attrs.items()), complete))
-            continue
-        while tokens[i].kind not in ("KW_CLASS", "KW_COMPLETE", "EOF"):
-            i += 1
 
-    return (None, diags) if diags else (Model(expand(decls)), [])
+def _declaration(toks: list[str], i: int, errs: list[tuple[int, str]]) -> tuple[_Decl | None, int]:
+    """The declaration at token i and the index after it; or, after appending
+    (token index, message) to errs, None and the index to skip from.  A repeated
+    attribute is reported at its name, and the declaration read on and dropped."""
+    complete = toks[i] == "complete"
+    i += complete
+    if toks[i] != "class":
+        errs.append((i, f"expected 'class', found {toks[i]!r}"))
+        return None, i + (toks[i] != "")  # only a trailing 'complete' leaves the end here
+    cls = toks[i + 1]
+    if cls in _NOT_NAMES:
+        errs.append((i + 1, "expected class name"))
+        return None, i + 1
+    if toks[i + 2] != "{":
+        errs.append((i + 2, "expected '{'"))
+        return None, i + 2
+    i += 3
+    attrs, repeated = {}, False
+    more = toks[i] not in _NOT_NAMES
+    while more:
+        name = toks[i]
+        if name in _NOT_NAMES:
+            errs.append((i, "expected attribute name"))
+            return None, i
+        if toks[i + 1] != ":":
+            errs.append((i + 1, "expected ':' after attribute name"))
+            return None, i + 1
+        if toks[i + 2] in _NOT_NAMES:
+            errs.append((i + 2, "expected type name"))
+            return None, i + 2
+        if name in attrs:
+            errs.append((i, f"duplicate attribute {name!r} in declaration of {cls!r}"))
+            repeated = True
+        attrs[name] = toks[i + 2]
+        i += 3
+        more = toks[i] == ","
+        i += more
+    if repeated:
+        return None, i
+    if toks[i] != "}":
+        errs.append((i, "expected '}'"))
+        return None, i
+    return _Decl(cls, tuple(attrs.items()), complete), i + 1
+
+
+def _diagnostics(text: str, errs: list[tuple[int, str]]) -> list[Diagnostic]:
+    """One diagnostic per stray character, then one per (token index, message)
+    of errs; the index counts the tokens parse reads, and the end after them."""
+    tokens = [(m.start(), m.group()) for m in _TOKEN_RE.finditer(text)]
+    starts = [pos for pos, t in tokens if t[0] in _GRAMMAR_STARTS] + [len(text)]  # of the tokens read, and the end
+    located = [(pos, f"unexpected character {t!r}")
+               for pos, t in tokens if t[0] not in _GRAMMAR_STARTS and t[:2] != "//"]
+    located += [(starts[j], message) for j, message in errs]
+    line_starts = [0, *accumulate(len(line) + 1 for line in text.split("\n"))]
+    return [Diagnostic(message, line := bisect_right(line_starts, pos), pos - line_starts[line - 1] + 1)
+            for pos, message in located]
 
 
 def parse_strict(text: str) -> Model:

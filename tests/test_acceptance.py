@@ -366,9 +366,18 @@ PARSE_FRAGMENTS = ("class P {", "complete class Q {", "a: T,", "a: T", "b: x_1,"
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.sampled_from(SOUP + PARSE_FRAGMENTS)).map("".join))
+@given(st.one_of(
+    st.lists(st.sampled_from(SOUP + PARSE_FRAGMENTS)).map("".join),
+    st.text(st.characters(exclude_categories=())),
+))
 @example("class P { a: T, a: T, b T } x class Q { , } complete }")
 @example("class P { a: T, } class { } complete class Q { a: T b: T }")
+@example("// class P { } class\nQ { }")
+@example("class P { a: T, a: T }")
+@example("class P { a: T, }")
+@example("completeclass P { }")
+@example("class class { }")
+@example("class P { a: complete }")
 def test_parse_agrees_with_frozen_reference(reference, text):
     try:
         want_model, want_diags = reference.syntax.parse(text)

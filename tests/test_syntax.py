@@ -2,7 +2,6 @@ import copy
 import pickle
 import re
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -94,6 +93,13 @@ def test_attr_complete_duplicate_names_unconstructible():
 def test_invalid_identifier_unconstructible():
     with pytest.raises(ValueError):
         ClassExists("_C1")
+    # the reserved words cannot be names, so that every model can be written as text
+    with pytest.raises(ValueError, match="invalid class name: 'class'"):
+        ClassExists("class")
+    with pytest.raises(ValueError, match="invalid attribute name: 'complete'"):
+        AttrTyped("P", "complete", "T")
+    with pytest.raises(ValueError, match="invalid type name: 'class'"):
+        AttrComplete("P", (("a", "class"),))
 
 
 @given(constraints, constraints)
@@ -196,28 +202,8 @@ def test_parse_deterministic(m):
     assert parse_strict(text) == parse_strict(text)
 
 
-def _one_pass(text):
-    """What parse returns for text from its one-pass match, or None where
-    the match declines and parse hands text to the token parser."""
-    with mock.patch.object(syntax, "_parse_tokens", return_value=None):
-        return parse(text)
-
-
 SOUP = ("class", "complete", "P", "a", "T", "x_1", "classes", "{", "}", ":", ",", "//", "/",
         " ", "\n", "\r", "\t", "\x0b", "\x85", "\u2028", "\ufeff", "@", "1", "\xe9")
-
-
-@given(st.lists(st.sampled_from(SOUP)).map("".join))
-@example("// class P { } class\nQ { }")
-@example("class P { a: T, a: T }")
-@example("class P { a: T, }")
-@example("completeclass P { }")
-@example("class class { }")
-@example("class P { a: complete }")
-def test_one_pass_parse_agrees_with_the_token_parser(text):
-    fast = _one_pass(text)
-    if fast is not None:
-        assert fast == syntax._parse_tokens(text) and fast[0] is not None
 
 
 BLANKS = st.lists(st.sampled_from(("\n", " ", "\t", "\r", "\x0b", "\x85", "\u2028", "// P { a: T, }\n", "//\r\n")),
@@ -225,15 +211,15 @@ BLANKS = st.lists(st.sampled_from(("\n", " ", "\t", "\r", "\x0b", "\x85", "\u202
 
 
 @given(models, st.data())
-def test_one_pass_parse_accepts_every_well_formed_text(m, data):
+def test_parse_accepts_every_well_formed_text(m, data):
     words = render(m).replace("complete class", "complete\nclass").split(" ")
     text = data.draw(BLANKS) + "".join(word + data.draw(BLANKS) for word in words)
-    assert _one_pass(text) == (normalize(m), [])
+    assert parse(text) == (normalize(m), [])
 
 
-def test_one_pass_parse_accepts_names_that_start_with_a_keyword():
+def test_parse_accepts_names_that_start_with_a_keyword():
     text = "complete class classes{completed:class_}//c"
-    assert _one_pass(text) == (Model(syntax.expand([("classes", (("completed", "class_"),), True)])), [])
+    assert parse(text) == (Model(syntax.expand([("classes", (("completed", "class_"),), True)])), [])
 
 
 @given(st.text(st.characters(exclude_categories=())))
@@ -253,6 +239,18 @@ def test_long_malformed_declaration_reports_quickly():
     model, diags = parse(text)
     assert time.perf_counter() - start < 2
     assert model is None and [str(d) for d in diags] == [f"error: expected attribute name at 1:{len(text)}"]
+
+
+@pytest.mark.parametrize("text, count, last", [
+    ("@\n" * 200_000, 200_000, "error: unexpected character '@' at 200000:1"),
+    ("class { }\n" * 50_000, 50_000, "error: expected class name at 50000:7"),
+], ids=("stray-characters", "malformed-declarations"))
+def test_many_diagnostics_report_quickly(text, count, last):
+    # each diagnostic's line must not be found by rescanning the text before it
+    start = time.perf_counter()
+    model, diags = parse(text)
+    assert time.perf_counter() - start < 2
+    assert model is None and len(diags) == count and str(diags[-1]) == last
 
 
 @given(st.one_of(st.lists(st.sampled_from(SOUP)).map("".join), models.map(render)))
@@ -279,6 +277,10 @@ def test_normalized_constraints_are_as_their_constructors_build_them(m):
     ((("P", "P"), ("x",), ("T",)), "duplicate class 'P' in corpus bounds"),
     ((("P", "Q"), ("a", "a"), ("T",)), "duplicate attribute 'a' in corpus bounds"),
     ((("P",), ("a",), ("T", "T")), "duplicate type 'T' in corpus bounds"),
+    # the reserved words are not names, so a generated model could not be written as text
+    ((("class",), ("a",), ("T",)), "invalid class name: 'class'"),
+    ((("P",), ("complete",), ("T",)), "invalid attribute name: 'complete'"),
+    ((("P",), ("a",), ("T", "class")), "invalid type name: 'class'"),
 ])
 def test_corpus_bounds_reject_names_the_constructors_reject(bounds, message):
     # generated models are expanded from the bounds' names without validation
