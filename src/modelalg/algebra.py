@@ -26,7 +26,7 @@ from .semantics import Denotation, Universe, build_universe, count_text, denotat
 # render is not called here; perfbench/tracing.py times it under this name too
 from .syntax import AttrComplete, AttrTyped, ClassExists, Model, _check_ident, _show, expand, render  # noqa: F401
 
-MAX_WITNESSES = 10  # a verdict keeps its first failures' witnesses, and builds no other
+MAX_WITNESSES = 10  # a verdict builds only its first failures' witnesses; associativity stops once both hold this many
 TRIPLE_SAMPLES = 10_000  # associativity checks all n**3 triples if at most this many, else samples this many
 
 
@@ -142,7 +142,7 @@ class Verdict:
     holds: bool
     witnesses: tuple[Witness, ...]
     exhaustive: bool
-    checked: int  # tuples examined
+    checked: int  # tuples the quantifier ranges over, also where a settled check stopped early
 
 
 @dataclass(frozen=True)
@@ -297,6 +297,8 @@ def _check_associativity(comp: _Composer, seed: int) -> dict:
         right = comp(ids[i], pairs[j][k])
         if left != right:
             _mismatch(comp, _ASS, fails, (ids[i], ids[j], ids[k]), (left, right))
+            if len(fails["Ass_sm"]) == MAX_WITNESSES:  # an Ass_sm failure is an Ass failure, so both are settled
+                break
     return {p: _verdict(p, fails[p], checked, exhaustive) for p in _ASS[:2]}
 
 

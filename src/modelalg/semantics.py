@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import log10
 
-from .syntax import IDENT_RE, AttrComplete, AttrTyped, Constraint, Model
+from .syntax import _KEYWORDS, IDENT_RE, AttrComplete, AttrTyped, Constraint, Model
 
 DEFAULT_CAP = 1 << 20
 # counts up to this many digits are written out in full; CPython's default
@@ -397,7 +397,7 @@ def universe_from_spec(spec: dict) -> Universe:
     if not all(isinstance(pool, list) for pool in pools):
         raise UniverseError("universe spec needs 'classes', 'attrs' and 'types' lists")
     for name in itertools.chain(*pools):
-        if not isinstance(name, str) or not IDENT_RE.match(name):
+        if not isinstance(name, str) or not IDENT_RE.match(name) or name in _KEYWORDS:
             raise UniverseError(f"invalid name in universe spec: {name!r}")
     return Universe(*pools)
 

@@ -393,11 +393,15 @@ def test_coincidences_denote_nothing_where_the_ids_agree(monkeypatch, op):
     verdicts = algebra._check_associativity(comp, 42)
     assert verdicts["Ass"].checked == 10_000
     assert verdicts["Ass"].holds == (op == "union") == (calls == [])
-    expected = []
+    expected, settled = [], 0
     for i, j, k in algebra._sample_triples(len(ids), 42):
         a, b, c = ids[i], ids[j], ids[k]
         if (left := comp(comp(a, b), c)) != (right := comp(a, comp(b, c))):
             expected.append(("Ass", (a, b, c), (left, right)))
+            settled += den(left) is not den(right)
+            if settled == MAX_WITNESSES:  # Ass_sm holds its witnesses, and so does Ass: the check stops
+                break
+    assert (settled == MAX_WITNESSES) == (op == "strict")
     for e in ids:
         algebra._check_element(comp, e)
         for m1 in ids:
@@ -565,6 +569,48 @@ def test_lazy_checks_equal_eager_reference(op, corpus):
     assert verdicts["Ass_sm"].holds == (op in ("intersect", "override", "union"))
     for e in comp.ids:
         assert algebra._check_element(comp, e) == _eager_element(eager, e)
+
+
+# beyond EAGER_CORPORA at seed 42: the default corpus sampled at another
+# seed, and two classes' 21 models, whose 9,261 triples are all checked
+ASSOCIATIVITY_CORPORA = (
+    (default_corpus(), 7),
+    (generate_corpus(CorpusBounds(("P", "Q"), ("n", "m"), ("S", "T"), include_complete=True), max_models=21), 42),
+)
+
+
+@pytest.mark.parametrize("op", sorted(OPERATORS))
+@pytest.mark.parametrize("corpus, seed", ASSOCIATIVITY_CORPORA, ids=("sampled-seed7", "exhaustive-21"))
+def test_associativity_stopped_early_equals_eager_reference(op, corpus, seed):
+    u = build_universe(corpus.models)
+    comp, eager = algebra._Composer(op, corpus, u), algebra._Composer(op, corpus, u)
+    assert algebra._check_associativity(comp, seed) == _eager_associativity(eager, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(models, min_size=1, max_size=8), st.sampled_from(sorted(OPERATORS)))
+def test_associativity_equals_eager_reference_on_small_corpora(corpus_models, op):
+    corpus = Corpus(tuple(corpus_models), "drawn")
+    comp, eager = algebra._Composer(op, corpus, TINY_UNIVERSE), algebra._Composer(op, corpus, TINY_UNIVERSE)
+    assert algebra._check_associativity(comp, 42) == _eager_associativity(eager, 42)
+
+
+@pytest.mark.parametrize("op, fewest, most", (
+    ("union", 4_408, 4_408), ("strict", 1, 500), ("override", 4_167, 4_167),
+    ("intersect", 0, 0), ("paranoid", 1, 900),
+))
+def test_associativity_composes_until_both_verdicts_are_settled(op, fewest, most):
+    corpus = default_corpus()
+    comp = algebra._Composer(op, corpus, build_universe(corpus.models))
+    algebra._check_pairs(comp)
+    before = len(comp.models)
+    verdicts = algebra._check_associativity(comp, 42)
+    assert fewest <= len(comp.models) - before <= most
+    # a check whose Ass_sm never takes MAX_WITNESSES witnesses composes every sampled triple
+    ids, triples = comp.ids, algebra._sample_triples(len(comp.ids), 42)
+    covered = all(ids[k] in comp.rows[comp(ids[i], ids[j])] and comp(ids[j], ids[k]) in comp.rows[ids[i]]
+                  for i, j, k in triples)
+    assert covered == (len(verdicts["Ass_sm"].witnesses) < MAX_WITNESSES) == (op in ("union", "override", "intersect"))
 
 
 # --- implication audit ------------------------------------------------------

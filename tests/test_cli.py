@@ -176,6 +176,10 @@ def test_check_wrong_number_of_models(files, capsys, predicate, count):
     ("classes: [Person]", "is not valid JSON"),
     (json.dumps({"classes": ["bad name"], "attrs": ["name"], "types": ["String"]}),
      "invalid name in universe spec: 'bad name'"),
+    (json.dumps({"classes": ["Person", "class"], "attrs": ["name"], "types": ["String"]}),
+     "invalid name in universe spec: 'class'"),
+    (json.dumps({"classes": ["Person"], "attrs": ["name", "complete"], "types": ["String"]}),
+     "invalid name in universe spec: 'complete'"),
     pytest.param("[" * 100_000 + "]" * 100_000, "is not valid JSON", id="deeply-nested"),
 ])
 def test_bad_universe_spec_exits_2(files, capsys, spec, message):
