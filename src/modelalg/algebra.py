@@ -13,18 +13,17 @@ exhaustive).
 
 from __future__ import annotations
 
-import gc
 import itertools
 import random
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .operators import get_operator
 from .semantics import Denotation, Universe, build_universe, count_text, denotation
+from .syntax import AttrComplete, AttrTyped, ClassExists, Model, _check_ident, _collector_paused, _show, expand
 # render is not called here; perfbench/tracing.py times it under this name too
-from .syntax import AttrComplete, AttrTyped, ClassExists, Model, _check_ident, _show, expand, render  # noqa: F401
+from .syntax import render  # noqa: F401
 
 MAX_WITNESSES = 10  # a verdict builds only its first failures' witnesses; associativity stops once both hold this many
 TRIPLE_SAMPLES = 10_000  # associativity checks all n**3 triples if at most this many, else samples this many
@@ -392,19 +391,7 @@ def _implication_audit(table1: dict, table2) -> tuple[str, ...]:
 # --- classification --------------------------------------------------------
 
 
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector: a classification leaves no cyclic garbage."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-@_collector_paused()
+@_collector_paused
 def classify(op_id: str, corpus: Corpus, u: Universe, seed: int = 42) -> OperatorReport:
     comp = _Composer(op_id, corpus, u)
     table1 = {**_check_pairs(comp), **_check_associativity(comp, seed)}

@@ -10,6 +10,7 @@ paranoid   -- union, plus the *left* model's completeness for shared classes
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import Callable
 
 from .syntax import AttrComplete, AttrTyped, Model
@@ -17,7 +18,7 @@ from .syntax import AttrComplete, AttrTyped, Model
 
 def _union(first: tuple, present, m2: Model) -> Model:
     """first, then the constraints of m2 that are not in present (first's set)."""
-    return Model._trusted(first + tuple(c for c in m2.constraints if c not in present))
+    return Model._trusted(first + tuple(filterfalse(present.__contains__, m2.constraints)))
 
 
 def union_merge(m1: Model, m2: Model) -> Model:
@@ -40,7 +41,7 @@ def _complete_shared(m1: Model, m2: Model, sources) -> Model:
     """The union, plus a completeness constraint for every class both models
     mention, listing the attribute types that the source models declare."""
     present, second = m1.constraint_set, m2.constraint_set
-    out = [*m1.constraints, *(c for c in m2.constraints if c not in present)]
+    out = [*m1.constraints, *filterfalse(present.__contains__, m2.constraints)]
     for cls in m1.declared:
         pairs = _declared_pairs(sources, cls) if cls in m2.declared else None
         if pairs is None:
@@ -60,21 +61,17 @@ def override_merge(m1: Model, m2: Model) -> Model:
     winners = {
         (c.cls, c.attr): c.type for c in m2.constraints if isinstance(c, AttrTyped)
     }
-    residue = tuple(
-        c
-        for c in m1.constraints
-        if not (isinstance(c, AttrTyped) and winners.get((c.cls, c.attr), c.type) != c.type)
-    )
+    lost = {
+        c for c in m1.constraints
+        if isinstance(c, AttrTyped) and winners.get((c.cls, c.attr), c.type) != c.type
+    }
+    residue = tuple(filterfalse(lost.__contains__, m1.constraints)) if lost else m1.constraints
     return _union(residue, set(residue), m2)
 
 
 def intersect_merge(m1: Model, m2: Model) -> Model:
     second = m2.constraint_set
-    out = []
-    for c in m1.constraints:
-        if c in second and c not in out:
-            out.append(c)
-    return Model._trusted(tuple(out))
+    return Model._trusted(tuple({c: None for c in m1.constraints if c in second}))  # a repeated c, once
 
 
 def paranoid_merge(m1: Model, m2: Model) -> Model:

@@ -7,17 +7,33 @@ tables) but never for the semantics, which is a pure conjunction.
 
 from __future__ import annotations
 
+import gc
 import re
 import string
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import accumulate
 
 _NAME = r"[A-Za-z][A-Za-z0-9_]*"
 IDENT_RE = re.compile(_NAME + r"\Z")
 _KEYWORDS = {"class", "complete"}
+
+
+def _collector_paused(f):
+    """f, run with the cyclic garbage collector paused and then put back as
+    it was: for calls that build many objects and leave no cyclic garbage."""
+    @wraps(f)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return f(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 def _check_ident(name: str, what: str) -> None:
@@ -26,15 +42,27 @@ def _check_ident(name: str, what: str) -> None:
 
 
 class _Atom:
-    """Base of the constraints, tuples so that hashing and equality run in C
-    (kinds differ in length, so never compare equal).  ``_make``, and
-    ``_replace`` through it, validate in ``__new__`` as copy and pickle do."""
+    """Base of the constraints: hash-consed tuples.  Each constructor, and
+    ``_make``, ``_replace``, copy and pickle through ``__new__``, validates and
+    returns the one object `_INTERNED` holds for its fields, so equality and
+    hashing are identity's (kinds differ in arity, so never share fields)."""
 
     __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+_INTERNED: dict[tuple, _Atom] = {}  # fields -> the constraint, for the life of the process
+
+
+def _interned(kind: type, fields: tuple) -> _Atom:
+    return _INTERNED.get(fields) or _INTERNED.setdefault(fields, tuple.__new__(kind, fields))
 
 
 class ClassExists(_Atom, namedtuple("ClassExists", "cls")):
@@ -42,7 +70,7 @@ class ClassExists(_Atom, namedtuple("ClassExists", "cls")):
 
     def __new__(_cls, cls: str):
         _check_ident(cls, "class")
-        return tuple.__new__(_cls, (cls,))
+        return _interned(_cls, (cls,))
 
 
 class AttrTyped(_Atom, namedtuple("AttrTyped", "cls attr type")):
@@ -52,7 +80,7 @@ class AttrTyped(_Atom, namedtuple("AttrTyped", "cls attr type")):
         _check_ident(cls, "class")
         _check_ident(attr, "attribute")
         _check_ident(type, "type")
-        return tuple.__new__(_cls, (cls, attr, type))
+        return _interned(_cls, (cls, attr, type))
 
 
 class AttrComplete(_Atom, namedtuple("AttrComplete", "cls attrs")):
@@ -70,13 +98,13 @@ class AttrComplete(_Atom, namedtuple("AttrComplete", "cls attrs")):
             if a in seen:
                 raise ValueError(f"duplicate attribute {a!r} in completeness constraint")
             seen.add(a)
-        return tuple.__new__(_cls, (cls, attrs))
+        return _interned(_cls, (cls, attrs))
 
     @classmethod
     def _trusted(_cls, cls: str, attrs: tuple[tuple[str, str], ...]):
         """Build without validation, from names and (attribute, type) pairs
         taken from already validated constraints, with no attribute twice."""
-        return tuple.__new__(_cls, (cls, attrs))
+        return _interned(_cls, (cls, attrs))
 
 
 Constraint = ClassExists | AttrTyped | AttrComplete
@@ -96,9 +124,9 @@ class Model:
 
     @classmethod
     def _trusted(cls, constraints: tuple) -> Model:
-        """Build from a tuple of constraints, skipping `__init__` (an operator's result)."""
+        """Build from a tuple of constraints, skipping `__init__` (an operator's or the parser's result)."""
         m = object.__new__(cls)
-        object.__setattr__(m, "constraints", constraints)
+        m.__dict__["constraints"] = constraints
         return m
 
     @cached_property
@@ -153,8 +181,8 @@ def expand(decls) -> tuple[Constraint, ...]:
     a complete declaration must not repeat an attribute."""
     out: list[Constraint] = []
     for cls, attrs, complete in decls:
-        out.append(tuple.__new__(ClassExists, (cls,)))
-        out.extend(tuple.__new__(AttrTyped, (cls, a, t)) for a, t in attrs)
+        out.append(_interned(ClassExists, (cls,)))
+        out.extend(_interned(AttrTyped, (cls, a, t)) for a, t in attrs)
         if complete:
             out.append(AttrComplete._trusted(cls, attrs))
     return tuple(out)
@@ -169,6 +197,7 @@ _GRAMMAR_STARTS = frozenset(string.ascii_letters + "{}:,")  # first characters o
 _NOT_NAMES = _KEYWORDS | {"{", "}", ":", ",", ""}  # "" is the end
 
 
+@_collector_paused
 def parse(text: str) -> tuple[Model | None, list[Diagnostic]]:
     """Parse source text; returns (model, diagnostics).  Every diagnostic is
     an error, and the model is None exactly when there is one.
@@ -195,7 +224,7 @@ def parse(text: str) -> tuple[Model | None, list[Diagnostic]]:
                 i += 1
     if errs or strays:
         return None, _diagnostics(text, errs)
-    return Model(expand(decls)), []
+    return Model._trusted(expand(decls)), []
 
 
 def _declaration(toks: list[str], i: int, errs: list[tuple[int, str]]) -> tuple[_Decl | None, int]:

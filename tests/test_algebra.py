@@ -807,6 +807,25 @@ def test_single_checks_agree_with_classify(op, small_corpus, small_universe):
     assert congruence_check(op, quotient(c, u), u).holds == rep.theorems["t2"]["congruence"]
 
 
+@pytest.mark.parametrize("op", sorted(OPERATORS))
+def test_classify_composes_only_through_the_operator_table(monkeypatch, op):
+    # perfbench/tracing.py times compositions by wrapping the OPERATORS entries,
+    # so every memo miss of the composer must call the entry
+    calls, composers = [], []
+    entry = OPERATORS[op]
+
+    class Recorded(algebra._Composer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            composers.append(self)
+
+    monkeypatch.setitem(OPERATORS, op, lambda m1, m2: calls.append(1) or entry(m1, m2))
+    monkeypatch.setattr(algebra, "_Composer", Recorded)
+    corpus = default_corpus()
+    classify(op, corpus, build_universe(corpus.models))
+    assert len(composers) == 1 and len(calls) == sum(map(len, composers[0].rows.values())) > 0
+
+
 # --- the collector pause ----------------------------------------------------
 
 

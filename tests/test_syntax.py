@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 import re
 import time
@@ -103,9 +104,10 @@ def test_invalid_identifier_unconstructible():
 
 
 @given(constraints, constraints)
-def test_constraints_of_different_kinds_never_equal(a, b):
-    if type(a) is not type(b):
-        assert a != b
+def test_constraints_are_equal_and_hash_equal_exactly_when_kind_and_fields_are(a, b):
+    same = type(a) is type(b) and tuple(a) == tuple(b)
+    assert (a == b) is same and (a != b) is not same
+    assert (a is b) is same and (hash(a) == hash(b)) is same
 
 
 @given(constraints)
@@ -135,23 +137,65 @@ def _invalid(valid, field, value):
     return tuple.__new__(type(valid), [value if name == field else f for name, f in zip(valid._fields, valid)])
 
 
+# the ways to build a constraint from another, its constructor aside
 BUILDS = {
-    "_make": lambda valid, field, value: type(valid)._make(list(_invalid(valid, field, value))),
-    "_replace": lambda valid, field, value: valid._replace(**{field: value}),
-    "copy": lambda valid, field, value: copy.copy(_invalid(valid, field, value)),
-    "pickle": lambda valid, field, value: pickle.loads(pickle.dumps(_invalid(valid, field, value))),
+    "_make": lambda c: type(c)._make(list(c)),
+    "_replace": lambda c: c._replace(cls=c.cls),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda c: pickle.loads(pickle.dumps(c)),
+    **{f"pickle-{p}": lambda c, p=p: pickle.loads(pickle.dumps(c, p)) for p in (0, 1)},  # these ignore __getnewargs__
 }
+VALID = (ClassExists("P"), AttrTyped("P", "a", "T"), AttrComplete("P", (("a", "T"),)))
 
 
 @pytest.mark.parametrize("valid, field, value", [
-    (ClassExists("P"), "cls", "1P"),
-    (AttrTyped("P", "a", "T"), "type", "_T"),
-    (AttrComplete("P", (("a", "T"),)), "attrs", (("a", "T"), ("a", "U"))),
+    (VALID[0], "cls", "1P"),
+    (VALID[1], "type", "_T"),
+    (VALID[2], "attrs", (("a", "T"), ("a", "U"))),
 ])
 @pytest.mark.parametrize("how", sorted(BUILDS))
 def test_every_way_of_building_a_constraint_validates(valid, field, value, how):
     with pytest.raises(ValueError):
-        BUILDS[how](valid, field, value)
+        BUILDS[how](_invalid(valid, field, value))
+
+
+@pytest.mark.parametrize("c", VALID, ids=lambda c: type(c).__name__)
+@pytest.mark.parametrize("how", sorted(BUILDS))
+def test_every_way_of_rebuilding_a_constraint_returns_the_interned_one(c, how):
+    assert BUILDS[how](c) is c is syntax._INTERNED[tuple(c)]
+
+
+def test_parse_expand_normalize_and_trusted_return_the_interned_constraints():
+    model = parse_strict("complete class P { a: T }")
+    trusted = (*VALID[:2], AttrComplete._trusted("P", (("a", "T"),)))
+    expanded = syntax.expand([("P", (("a", "T"),), True)])
+    for built in (model.constraints, normalize(Model(VALID)).constraints, expanded, trusted):
+        assert len(built) == 3 and all(b is c for b, c in zip(built, VALID))
+
+
+@given(models.map(render))
+def test_parsing_a_text_again_adds_no_constraints(text):
+    parse(text)
+    count = len(syntax._INTERNED)
+    parse(text)
+    assert len(syntax._INTERNED) == count
+
+
+@pytest.mark.parametrize("text", ("class P { a: T }", "class P { a: T, a: U } $"), ids=("model", "diagnostics"))
+@pytest.mark.parametrize("enabled", (True, False), ids=("collector-on", "collector-off"))
+def test_parse_pauses_the_collector_and_leaves_it_as_it_found_it(monkeypatch, text, enabled):
+    paused = []
+    declaration = syntax._declaration
+    monkeypatch.setattr(syntax, "_declaration", lambda *args: paused.append(not gc.isenabled()) or declaration(*args))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        model, diags = parse(text)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert (model is None) == bool(diags) and paused and all(paused)
 
 
 def test_syntactic_eq_order_sensitive():
