@@ -29,28 +29,23 @@ MAX_WITNESSES = 10  # a verdict builds only its first failures' witnesses; assoc
 TRIPLE_SAMPLES = 10_000  # associativity checks all n**3 triples if at most this many, else samples this many
 
 
-def _pp_observed(c, a, b, dab, meet) -> str:
-    return (f"|sm(op(m1,m2))|={count_text(dab.size)}, |sm(m1)|={count_text(c.den(a).size)}, "
-            f"|sm(m2)|={count_text(c.den(b).size)}")
+def _sizes(named) -> str:
+    """A witness's observed text: |name|=size for each (name, denotation)."""
+    return ", ".join([f"|{name}|={count_text(d.size)}" for name, d in named])
 
 
 # Table 1's set relations as data: (property, failure predicate, relation text,
-# observed text).  The predicate and the observed text take a pair's terms: the
-# composer c, the ids a and b, dab = sm(op(a,b)) and meet = sm(a) & sm(b).
+# the positions in _PAIR_SETS of the sets a witness shows).  The predicate takes
+# a pair's sets in _PAIR_SETS order.
+_PAIR_SETS = ("sm(op(m1,m2))", "sm(m1)", "sm(m2)", "sm(m1) & sm(m2)")
 TABLE1_PAIR_ROWS = (
-    ("PP_l", lambda c, a, b, dab, meet: not dab.issubset(c.den(a)),
-     "sm(op(m1,m2)) is a subset of sm(m1)", _pp_observed),
-    ("PP_r", lambda c, a, b, dab, meet: not dab.issubset(c.den(b)),
-     "sm(op(m1,m2)) is a subset of sm(m2)", _pp_observed),
-    ("PP", lambda c, a, b, dab, meet: not dab.issubset(meet),
-     "sm(op(m1,m2)) is a subset of sm(m1) & sm(m2)", _pp_observed),
-    ("FPP", lambda c, a, b, dab, meet: dab is not meet,
-     "sm(op(m1,m2)) equals sm(m1) & sm(m2)",
-     lambda c, a, b, dab, meet:
-     f"|sm(op(m1,m2))|={count_text(dab.size)}, |sm(m1) & sm(m2)|={count_text(meet.size)}"),
-    ("CP", lambda c, a, b, dab, meet: dab.is_empty and not meet.is_empty,
-     "sm(m1) & sm(m2) nonempty implies sm(op(m1,m2)) nonempty",
-     lambda c, a, b, dab, meet: f"|sm(m1) & sm(m2)|={count_text(meet.size)}, |sm(op(m1,m2))|=0"),
+    ("PP_l", lambda dab, d1, d2, meet: not dab.issubset(d1), "sm(op(m1,m2)) is a subset of sm(m1)", (0, 1, 2)),
+    ("PP_r", lambda dab, d1, d2, meet: not dab.issubset(d2), "sm(op(m1,m2)) is a subset of sm(m2)", (0, 1, 2)),
+    ("PP", lambda dab, d1, d2, meet: not dab.issubset(meet),
+     "sm(op(m1,m2)) is a subset of sm(m1) & sm(m2)", (0, 1, 2)),
+    ("FPP", lambda dab, d1, d2, meet: dab is not meet, "sm(op(m1,m2)) equals sm(m1) & sm(m2)", (0, 3)),
+    ("CP", lambda dab, d1, d2, meet: dab.is_empty and not meet.is_empty,
+     "sm(m1) & sm(m2) nonempty implies sm(op(m1,m2)) nonempty", (3, 0)),
 )
 
 # Coincidences as data: a relation and the terms, built from corpus models m1,
@@ -76,18 +71,17 @@ TABLE2 = (
 
 def _compile(prop: str, twin: str, terms: tuple[str, ...], labels=None) -> tuple:
     """A coincidence row as the checks use it: property, twin, terms, the terms
-    compared (a two-term row repeats its last term), the relation texts, and the
-    observed texts of a witness and of a twin witness, given the terms' ids."""
+    compared (a two-term row repeats its last term), the relation texts, the
+    (position, name) of each composed term a witness shows, and the names of
+    the terms' sets that a twin witness shows."""
     sm = [f"sm({t})" for t in terms]
     if len(terms) == 2:
         relations = f"{terms[0]} syntactically equals {terms[1]}", f"{sm[0]} equals {sm[1]}"
     else:
         relations = " = ".join(terms) + " syntactically", " = ".join(sm)
     names, sizes = (labels, labels) if labels else (terms, sm)
-    shown = [(k, name) for k, (t, name) in enumerate(zip(terms, names)) if t.startswith("op(")]
-    return (prop, twin, terms, (*terms, terms[-1])[:3], *relations,
-            lambda c, ids: "; ".join([f"{name}={c.show(ids[k])}" for k, name in shown]),
-            lambda c, ids: ", ".join([f"|{size}|={count_text(c.den(x).size)}" for size, x in zip(sizes, ids)]))
+    shown = tuple((k, name) for k, (t, name) in enumerate(zip(terms, names)) if t.startswith("op("))
+    return (prop, twin, terms, (*terms, terms[-1])[:3], *relations, shown, tuple(sizes))
 
 
 def _props(rows) -> tuple:
@@ -237,13 +231,14 @@ def _mismatch(comp: _Composer, row: tuple, fails: dict, models: tuple, ids: tupl
     `ids`, two or three) do not share one id: the row fails there, and so does
     its twin where the canonical denotations differ too (equal ids denote the
     same set).  A verdict that holds MAX_WITNESSES witnesses does no more
-    work: no witness is built and no denotation compared for it.  No closure
-    is made per failing tuple."""
-    prop, twin, _, _, relation, twin_relation, observed, twin_observed = row
+    work: no witness is built and no denotation compared for it."""
+    prop, twin, _, _, relation, twin_relation, shown, sizes = row
     if len(fails[prop]) < MAX_WITNESSES:
-        fails[prop].append(Witness(tuple(map(comp.show, models)), relation, observed(comp, ids)))
+        observed = "; ".join([f"{name}={comp.show(ids[k])}" for k, name in shown])
+        fails[prop].append(Witness(tuple(map(comp.show, models)), relation, observed))
     if len(fails[twin]) < MAX_WITNESSES and not comp.den(ids[0]) is comp.den(ids[1]) is comp.den(ids[-1]):
-        fails[twin].append(Witness(tuple(map(comp.show, models)), twin_relation, twin_observed(comp, ids)))
+        observed = _sizes(zip(sizes, map(comp.den, ids)))
+        fails[twin].append(Witness(tuple(map(comp.show, models)), twin_relation, observed))
 
 
 @lru_cache(maxsize=8)
@@ -262,13 +257,14 @@ def _check_pairs(comp: _Composer) -> dict:
     n = len(comp.ids)
     fails: dict[str, list[Witness]] = {p: [] for p in TABLE1_PROPS}
     for i, a in enumerate(comp.ids):
+        da = comp.den(a)  # sm(m1), once per row
         for j, b in enumerate(comp.ids):
-            ab = comp(a, b)
-            dab, meet = comp.den(ab), comp.den(a) & comp.den(b)
-            for prop, failed, relation, observed in TABLE1_PAIR_ROWS:
-                if len(fails[prop]) < MAX_WITNESSES and failed(comp, a, b, dab, meet):
-                    fails[prop].append(Witness(
-                        (comp.show(a), comp.show(b)), relation, observed(comp, a, b, dab, meet)))
+            ab, db = comp(a, b), comp.den(b)
+            sets = comp.den(ab), da, db, da & db  # in _PAIR_SETS order
+            for prop, failed, relation, shown in TABLE1_PAIR_ROWS:
+                if len(fails[prop]) < MAX_WITNESSES and failed(*sets):
+                    fails[prop].append(Witness((comp.show(a), comp.show(b)), relation,
+                                               _sizes((_PAIR_SETS[k], sets[k]) for k in shown)))
             if i < j and ab != (ba := comp(b, a)):
                 _mismatch(comp, _COM, fails, (a, b), (ab, ba))
     return {**{prop: _verdict(prop, fails[prop], n * n, True) for prop, *_ in TABLE1_PAIR_ROWS},
@@ -364,7 +360,7 @@ def _congruence(comp: _Composer, partition: Partition) -> Verdict:
                             (comp.show(ids[a]), comp.show(ids[b]), comp.show(ri), comp.show(rj)),
                             "sm(op(ma,mb)) equals sm(op(rep_i,rep_j)) for all"
                             " representatives ma, mb of the two classes",
-                            f"|sm(op(ma,mb))|={count_text(d.size)}, |sm(op(rep_i,rep_j))|={count_text(dr.size)}"))
+                            _sizes((("sm(op(ma,mb))", d), ("sm(op(rep_i,rep_j))", dr)))))
     return _verdict("congruence", failures, checked, True)
 
 

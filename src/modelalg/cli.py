@@ -29,9 +29,7 @@ from .syntax import ParseError, parse_strict, render
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """An input error: main prints it and returns 2."""
 
 
 def _padding(text: str) -> tuple[int, int, int]:
@@ -54,25 +52,25 @@ def _load_model(path: str, listed: bool = False):
         with open(path if listed else Path(path), "rb", buffering=0) as f:
             text = f.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", 2) from exc
+        raise CliError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: {exc}", 2) from exc
+        raise CliError(f"{path}: {exc}") from exc
     try:
         return parse_strict(text)
     except ParseError as exc:
         msgs = "\n".join(f"{path}: {d}" for d in exc.diagnostics)
-        raise CliError(msgs, 2) from exc
+        raise CliError(msgs) from exc
 
 
 def _resolve_universe(models, args):
     if args.universe == "auto":
         return build_universe(models, *(args.padding or ()))
     if args.padding is not None:
-        raise CliError("--padding applies only to --universe auto, not to a universe file", 2)
+        raise CliError("--padding applies only to --universe auto, not to a universe file")
     try:
         return load_universe(args.universe)
     except OSError as exc:
-        raise CliError(f"cannot read universe spec {args.universe}: {exc}", 2) from exc
+        raise CliError(f"cannot read universe spec {args.universe}: {exc}") from exc
 
 
 def _load_corpus(args) -> algebra.Corpus:
@@ -80,13 +78,13 @@ def _load_corpus(args) -> algebra.Corpus:
         return algebra.default_corpus(seed=args.seed)
     directory = Path(args.corpus)
     if not directory.is_dir():
-        raise CliError(f"corpus directory not found: {directory}", 2)
+        raise CliError(f"corpus directory not found: {directory}")
     try:  # the names and order of sorted(directory.glob("*.mcd"))
         names = sorted(n for n in os.listdir(directory) if n.endswith(".mcd"))
     except OSError:
         names = []
     if not names:
-        raise CliError(f"no .mcd files in {directory}", 2)
+        raise CliError(f"no .mcd files in {directory}")
     prefix = str(directory / "_")[:-1]  # so that prefix + name == str(directory / name)
     models = tuple(_load_model(prefix + n, listed=True) for n in names)
     return algebra.Corpus(models, f"files({directory})")
@@ -97,7 +95,7 @@ def _emit(text: str, args) -> None:
         try:
             Path(args.output).write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise CliError(f"cannot write {args.output}: {exc}", 2) from exc
+            raise CliError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -141,7 +139,7 @@ def cmd_check(args) -> int:
     arity, test = _CHECKS[args.predicate]
     if len(args.inputs) != arity:
         count = "one model" if arity == 1 else "two models"
-        raise CliError(f"check {args.predicate} needs exactly {count}", 2)
+        raise CliError(f"check {args.predicate} needs exactly {count}")
     models = [_load_model(p) for p in args.inputs]
     u = _resolve_universe(models, args)
     result = test(*models, u)
@@ -173,7 +171,7 @@ def cmd_quotient(args) -> int:
 
 def cmd_corpus(args) -> int:
     if args.out is not None and args.output is not None:
-        raise CliError("give --out DIR or --output FILE, not both", 2)
+        raise CliError("give --out DIR or --output FILE, not both")
     corpus = algebra.default_corpus(seed=args.seed)
     if args.out:
         out = Path(args.out)
@@ -182,7 +180,7 @@ def cmd_corpus(args) -> int:
             for i, m in enumerate(corpus.models):
                 (out / f"model_{i:03d}.mcd").write_text(render(m), encoding="utf-8")
         except OSError as exc:
-            raise CliError(f"cannot write corpus to {out}: {exc}", 2) from exc
+            raise CliError(f"cannot write corpus to {out}: {exc}") from exc
         print(f"wrote {len(corpus.models)} models to {out}")
     else:
         chunks = [f"// model {i}\n{render(m)}" for i, m in enumerate(corpus.models)]
@@ -282,13 +280,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         print(exc, file=sys.stderr)
-        return exc.code
-    except UniverseCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2
     except UniverseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, UniverseCapError) else 2
 
 
 if __name__ == "__main__":

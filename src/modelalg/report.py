@@ -11,7 +11,8 @@ from .syntax import _show, render
 
 def report_to_dict(r: OperatorReport) -> dict:
     """The report as JSON-ready data, with each Verdict left as a leaf for
-    _write_json."""
+    _write_json.  Each corpus model is rendered once."""
+    models = [render(m) for m in r.corpus.models]
     return {
         "operator": r.operator,
         "universe": {
@@ -23,10 +24,10 @@ def report_to_dict(r: OperatorReport) -> dict:
         "corpus": {
             "origin": r.corpus.origin,
             "size": len(r.corpus.models),
-            "models": [render(m) for m in r.corpus.models],
+            "models": models,
         },
         "table1": r.table1,
-        "table2": [{"model": render(r.corpus.models[idx]), "props": props} for idx, props in r.table2],
+        "table2": [{"model": models[idx], "props": props} for idx, props in r.table2],
         "implication_audit": list(r.implication_audit),
         "theorems": r.theorems,
     }

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import log10
 
-from .syntax import _KEYWORDS, IDENT_RE, AttrComplete, AttrTyped, Constraint, Model
+from .syntax import AttrComplete, Constraint, Model, _is_name
 
 DEFAULT_CAP = 1 << 20
 # counts up to this many digits are written out in full; CPython's default
@@ -298,8 +298,7 @@ def _constraint_value(u: Universe, c: Constraint) -> tuple:
     """(class index, interned class value) for one constraint not yet in
     u._con_cache; it is validated here and cached only if valid."""
     ci = u.class_index(c.cls)
-    exact = isinstance(c, AttrComplete)
-    pairs = c.attrs if exact else ((c.attr, c.type),) if isinstance(c, AttrTyped) else ()
+    exact, pairs = isinstance(c, AttrComplete), c.pairs
     for a, t in pairs:
         if a not in u.attr_pool:
             raise UniverseError(f"attribute {a!r} not in universe")
@@ -374,11 +373,8 @@ def build_universe(
     for m in models:
         for c in m.constraints:
             classes[c.cls] = None
-            if isinstance(c, AttrTyped):
-                attrs[c.attr] = types[c.type] = None
-            elif isinstance(c, AttrComplete):
-                for a, t in c.attrs:
-                    attrs[a] = types[t] = None
+            for a, t in c.pairs:
+                attrs[a] = types[t] = None
     # fresh names start with "_", so they cannot repeat a parsed name, and the
     # pool sizes alone decide an empty pool, as Universe reports it, and the
     # cap before any fresh name is built
@@ -397,7 +393,7 @@ def universe_from_spec(spec: dict) -> Universe:
     if not all(isinstance(pool, list) for pool in pools):
         raise UniverseError("universe spec needs 'classes', 'attrs' and 'types' lists")
     for name in itertools.chain(*pools):
-        if not isinstance(name, str) or not IDENT_RE.match(name) or name in _KEYWORDS:
+        if not _is_name(name):
             raise UniverseError(f"invalid name in universe spec: {name!r}")
     return Universe(*pools)
 

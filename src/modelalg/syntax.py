@@ -36,8 +36,13 @@ def _collector_paused(f):
     return paused
 
 
+def _is_name(name) -> bool:
+    """Whether name can be written as a class, attribute or type name."""
+    return isinstance(name, str) and IDENT_RE.match(name) is not None and name not in _KEYWORDS
+
+
 def _check_ident(name: str, what: str) -> None:
-    if not isinstance(name, str) or not IDENT_RE.match(name) or name in _KEYWORDS:
+    if not _is_name(name):
         raise ValueError(f"invalid {what} name: {name!r}")
 
 
@@ -45,10 +50,12 @@ class _Atom:
     """Base of the constraints: hash-consed tuples.  Each constructor, and
     ``_make``, ``_replace``, copy and pickle through ``__new__``, validates and
     returns the one object `_INTERNED` holds for its fields, so equality and
-    hashing are identity's (kinds differ in arity, so never share fields)."""
+    hashing are identity's (kinds differ in arity, so never share fields) and no
+    order is defined.  `pairs` is the (attribute, type) pairs a constraint declares."""
 
     __slots__ = ()
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+    __lt__, __le__, __gt__, __ge__ = object.__lt__, object.__le__, object.__gt__, object.__ge__
 
     @classmethod
     def _make(cls, iterable):
@@ -67,6 +74,7 @@ def _interned(kind: type, fields: tuple) -> _Atom:
 
 class ClassExists(_Atom, namedtuple("ClassExists", "cls")):
     __slots__ = ()
+    pairs = ()
 
     def __new__(_cls, cls: str):
         _check_ident(cls, "class")
@@ -75,6 +83,7 @@ class ClassExists(_Atom, namedtuple("ClassExists", "cls")):
 
 class AttrTyped(_Atom, namedtuple("AttrTyped", "cls attr type")):
     __slots__ = ()
+    pairs = property(lambda self: ((self.attr, self.type),))
 
     def __new__(_cls, cls: str, attr: str, type: str):
         _check_ident(cls, "class")
@@ -87,6 +96,7 @@ class AttrComplete(_Atom, namedtuple("AttrComplete", "cls attrs")):
     """The class has exactly the given attributes, with exactly these types."""
 
     __slots__ = ()
+    pairs = property(lambda self: self.attrs)
 
     def __new__(_cls, cls: str, attrs: tuple[tuple[str, str], ...]):
         attrs = tuple((a, t) for a, t in attrs)
@@ -136,14 +146,10 @@ class Model:
     @cached_property
     def declared(self) -> dict[str, tuple[tuple[str, str], ...]]:
         """For each class in first-mention order, the (attribute, type) pairs
-        that its AttrTyped and AttrComplete constraints declare, in order."""
+        that its constraints declare, in order."""
         out: dict[str, list] = {}
         for c in self.constraints:
-            items = out.setdefault(c.cls, [])
-            if isinstance(c, AttrTyped):
-                items.append((c.attr, c.type))
-            elif isinstance(c, AttrComplete):
-                items.extend(c.attrs)
+            out.setdefault(c.cls, []).extend(c.pairs)
         return {cls: tuple(items) for cls, items in out.items()}
 
 

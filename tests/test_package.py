@@ -1,4 +1,4 @@
-"""The package's exported names, and the program names the benchmark's tracer rebinds."""
+"""The package's exported names, the program names the benchmark's tracer rebinds, and no assert in the program."""
 
 import ast
 import importlib
@@ -54,3 +54,10 @@ def test_every_name_the_tracer_rebinds_exists():
     for module, attr in names:
         assert hasattr(importlib.import_module(f"modelalg.{module}"), attr), (module, attr)
     assert hasattr(importlib.import_module("modelalg.semantics").Denotation, "systems")
+
+
+def test_the_program_has_no_assert_statement():
+    # python -O strips asserts, so the program checks its invariants with raises
+    found = [f"{path.name}:{node.lineno}" for path in sorted(Path(modelalg.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -1,5 +1,6 @@
 import copy
 import gc
+import operator
 import pickle
 import re
 import time
@@ -108,6 +109,15 @@ def test_constraints_are_equal_and_hash_equal_exactly_when_kind_and_fields_are(a
     same = type(a) is type(b) and tuple(a) == tuple(b)
     assert (a == b) is same and (a != b) is not same
     assert (a is b) is same and (hash(a) == hash(b)) is same
+
+
+def test_constraints_cannot_be_ordered():
+    for pair in ([ClassExists("P"), AttrTyped("P", "a", "T")], [ClassExists("Q"), ClassExists("P")]):
+        with pytest.raises(TypeError):
+            sorted(pair)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(ClassExists("P"), ClassExists("P"))
 
 
 @given(constraints)
