@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .operators import get_operator
 from .semantics import Denotation, Universe, build_universe, count_text, denotation
-from .syntax import AttrComplete, AttrTyped, ClassExists, Model, _check_ident, _collector_paused, _show, expand
+from .syntax import AttrComplete, AttrTyped, ClassExists, Model, _check_ident, _collector_paused, expand
 # render is not called here; perfbench/tracing.py times it under this name too
 from .syntax import render  # noqa: F401
 
@@ -191,7 +191,6 @@ class _Composer:
         self.by_constraints: dict = {}  # constraints -> id
         self.models: list[Model] = []  # id -> model
         self.dens: list = []  # id -> denotation, None until first needed
-        self.texts: dict = {}  # id -> one-line source, for the ids a witness shows
         self.rows: defaultdict = defaultdict(dict)  # id a -> {id b: id of op(a, b)}, for a ever on the left
         self.ids = [self.intern(m) for m in corpus.models]
 
@@ -216,10 +215,7 @@ class _Composer:
         return d
 
     def show(self, i: int) -> str:
-        t = self.texts.get(i)
-        if t is None:
-            t = self.texts[i] = _show(self.models[i])
-        return t
+        return self.models[i].line
 
 
 def _verdict(prop, witnesses, checked, exhaustive) -> Verdict:
@@ -230,8 +226,8 @@ def _mismatch(comp: _Composer, row: tuple, fails: dict, models: tuple, ids: tupl
     """Record models (ids `models`) on which a coincidence row's terms (ids
     `ids`, two or three) do not share one id: the row fails there, and so does
     its twin where the canonical denotations differ too (equal ids denote the
-    same set).  A verdict that holds MAX_WITNESSES witnesses does no more
-    work: no witness is built and no denotation compared for it."""
+    same set).  It is still called once both verdicts hold MAX_WITNESSES
+    witnesses: a full verdict skips only its witness and, for a twin, the denotation comparison."""
     prop, twin, _, _, relation, twin_relation, shown, sizes = row
     if len(fails[prop]) < MAX_WITNESSES:
         observed = "; ".join([f"{name}={comp.show(ids[k])}" for k, name in shown])
@@ -461,7 +457,7 @@ def _model_at(bounds: CorpusBounds, states: list, index: int) -> Model:
         index //= len(states)
     digits.reverse()
     decls = [(cls, *states[d]) for cls, d in zip(bounds.class_names, digits) if states[d] is not None]
-    return Model(expand(decls))
+    return Model._trusted(expand(decls))
 
 
 def _contradictory_model(bounds: CorpusBounds) -> Model | None:
@@ -487,13 +483,10 @@ def generate_corpus(
     model, and a contradictory model whenever one is expressible."""
     states = _class_states(bounds)
     total = len(states) ** len(bounds.class_names)
-    models: list[Model] = []
-    seen: set = set()
+    models: dict = {}  # constraints -> the first model with them
 
     def add(m: Model) -> None:
-        if m.constraints not in seen:
-            seen.add(m.constraints)
-            models.append(m)
+        models.setdefault(m.constraints, m)
 
     add(Model(()))
     for m in extra_models:
@@ -509,7 +502,7 @@ def generate_corpus(
         while len(models) < max_models:
             add(_model_at(bounds, states, rng.randrange(total)))
     if inject_variants:
-        rich = [m for m in models if len(m.constraints) >= 2][:3]
+        rich = [m for m in models.values() if len(m.constraints) >= 2][:3]
         for m in rich:
             add(Model(tuple(reversed(m.constraints))))
             add(Model(m.constraints + (m.constraints[0],)))
@@ -518,7 +511,7 @@ def generate_corpus(
         f"attrs={len(bounds.attr_names)},types={len(bounds.type_names)},"
         f"complete={bounds.include_complete},n={len(models)})"
     )
-    return Corpus(tuple(models), origin)
+    return Corpus(tuple(models.values()), origin)
 
 
 def default_corpus(seed: int = 42) -> Corpus:

@@ -13,16 +13,16 @@ from __future__ import annotations
 from itertools import filterfalse
 from typing import Callable
 
-from .syntax import AttrComplete, AttrTyped, Model
+from .syntax import AttrComplete, AttrTyped, Model, _interned
 
 
-def _union(first: tuple, present, m2: Model) -> Model:
+def _union(first: tuple, present, m2: Model) -> tuple:
     """first, then the constraints of m2 that are not in present (first's set)."""
-    return Model._trusted(first + tuple(filterfalse(present.__contains__, m2.constraints)))
+    return first + tuple(filterfalse(present.__contains__, m2.constraints))
 
 
 def union_merge(m1: Model, m2: Model) -> Model:
-    return _union(m1.constraints, m1.constraint_set, m2)
+    return Model._trusted(_union(m1.constraints, m1.constraint_set, m2))
 
 
 def _declared_pairs(models, cls: str) -> dict[str, str] | None:
@@ -41,16 +41,16 @@ def _complete_shared(m1: Model, m2: Model, sources) -> Model:
     """The union, plus a completeness constraint for every class both models
     mention, listing the attribute types that the source models declare."""
     present, second = m1.constraint_set, m2.constraint_set
-    out = [*m1.constraints, *filterfalse(present.__contains__, m2.constraints)]
+    cands = []
     for cls in m1.declared:
         pairs = _declared_pairs(sources, cls) if cls in m2.declared else None
         if pairs is None:
             continue  # not shared, or conflicting types: the union is already unsatisfiable
         # validated already: the pairs come from the sources' constraints
-        cand = AttrComplete._trusted(cls, tuple(pairs.items()))
+        cand = _interned(AttrComplete, (cls, tuple(pairs.items())))
         if cand not in present and cand not in second:  # cands differ by class
-            out.append(cand)
-    return Model._trusted(tuple(out))
+            cands.append(cand)
+    return Model._trusted(_union(m1.constraints, present, m2) + tuple(cands))
 
 
 def strict_merge(m1: Model, m2: Model) -> Model:
@@ -66,7 +66,7 @@ def override_merge(m1: Model, m2: Model) -> Model:
         if isinstance(c, AttrTyped) and winners.get((c.cls, c.attr), c.type) != c.type
     }
     residue = tuple(filterfalse(lost.__contains__, m1.constraints)) if lost else m1.constraints
-    return _union(residue, set(residue), m2)
+    return Model._trusted(_union(residue, set(residue), m2))
 
 
 def intersect_merge(m1: Model, m2: Model) -> Model:

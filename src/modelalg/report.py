@@ -6,7 +6,7 @@ from json.encoder import encode_basestring_ascii
 
 from .algebra import OperatorReport, Partition, StabilityReport, Verdict
 from .semantics import count_text
-from .syntax import _show, render
+from .syntax import render
 
 
 def report_to_dict(r: OperatorReport) -> dict:
@@ -110,7 +110,7 @@ def report_to_text(r: OperatorReport) -> str:
     lines += ["", "Table 2 (special elements; + holds, - fails)"]
     for idx, props in r.table2:
         flags = " ".join(f"{p}{'+' if v.holds else '-'}" for p, v in props.items())
-        lines.append(f"  model {idx:02d} `{_show(r.corpus.models[idx])}`")
+        lines.append(f"  model {idx:02d} `{r.corpus.models[idx].line}`")
         lines.append(f"    {flags}")
     lines.append("")
     if r.implication_audit:
@@ -131,7 +131,7 @@ def partition_to_text(p: Partition) -> str:
     lines = [f"{len(p.classes)} semantic classes over {len(p.corpus.models)} models"]
     for k, cls in enumerate(p.classes):
         members = " ".join(f"#{i}" for i in cls)
-        rep = _show(p.corpus.models[cls[0]])
+        rep = p.corpus.models[cls[0]].line
         lines.append(f"  class {k}: {members}")
         lines.append(f"    representative: {rep}")
     return "\n".join(lines) + "\n"

@@ -286,8 +286,7 @@ class Denotation:
 
     def indices(self):
         """Member system indices, ascending in the canonical enumeration order."""
-        for states in self._member_states():
-            yield System(self.universe, states).index
+        return (s.index for s in self.systems())
 
     def systems(self):
         for states in self._member_states():

@@ -110,20 +110,14 @@ class AttrComplete(_Atom, namedtuple("AttrComplete", "cls attrs")):
             seen.add(a)
         return _interned(_cls, (cls, attrs))
 
-    @classmethod
-    def _trusted(_cls, cls: str, attrs: tuple[tuple[str, str], ...]):
-        """Build without validation, from names and (attribute, type) pairs
-        taken from already validated constraints, with no attribute twice."""
-        return _interned(_cls, (cls, attrs))
-
 
 Constraint = ClassExists | AttrTyped | AttrComplete
 
 
 @dataclass(frozen=True)
 class Model:
-    """An ordered tuple of constraints.  `constraint_set` and `declared` are
-    views derived from the constraints and built on first use.  They are
+    """An ordered tuple of constraints.  `constraint_set`, `declared` and `line`
+    are views derived from the constraints and built on first use.  They are
     read-only (callers must not mutate them) and take no part in equality,
     hashing or repr, which see `constraints` only."""
 
@@ -134,7 +128,7 @@ class Model:
 
     @classmethod
     def _trusted(cls, constraints: tuple) -> Model:
-        """Build from a tuple of constraints, skipping `__init__` (an operator's or the parser's result)."""
+        """Build from a tuple of constraints, skipping `__init__` (an operator's or `expand`'s result)."""
         m = object.__new__(cls)
         m.__dict__["constraints"] = constraints
         return m
@@ -151,6 +145,11 @@ class Model:
         for c in self.constraints:
             out.setdefault(c.cls, []).extend(c.pairs)
         return {cls: tuple(items) for cls, items in out.items()}
+
+    @cached_property
+    def line(self) -> str:
+        """render(self) on one line, or "<empty>" for the empty model."""
+        return " ".join(_lines(self)) or "<empty>"
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ def expand(decls) -> tuple[Constraint, ...]:
         out.append(_interned(ClassExists, (cls,)))
         out.extend(_interned(AttrTyped, (cls, a, t)) for a, t in attrs)
         if complete:
-            out.append(AttrComplete._trusted(cls, attrs))
+            out.append(_interned(AttrComplete, (cls, attrs)))
     return tuple(out)
 
 
@@ -215,7 +214,7 @@ def parse(text: str) -> tuple[Model | None, list[Diagnostic]]:
     toks = [t for t in found if t[0] in _GRAMMAR_STARTS]
     toks.append("")
     # a stray character is a dropped token that is not a comment; found goes
-    # before the walk, as each collection during it would traverse a long one
+    # before the walk, so a long text's token list is not held twice at peak
     strays = len(toks) <= len(found) and any(t[:2] != "//" for t in found if t[0] not in _GRAMMAR_STARTS)
     del found
     errs: list[tuple[int, str]] = []  # (index in toks, message)
@@ -335,7 +334,7 @@ def normalize(m: Model) -> Model:
     """Insert the constraints implied by the rendering of m, so that
     parse(render(m)) == normalize(m) holds for every well-formed model.
     Semantics-preserving: every inserted constraint is implied by one of m's."""
-    return Model(expand(_group(m)))
+    return Model._trusted(expand(_group(m)))
 
 
 def _lines(m: Model):
@@ -349,8 +348,3 @@ def _lines(m: Model):
 def render(m: Model) -> str:
     """Canonical source text; re-parses to normalize(m)."""
     return "".join([line + "\n" for line in _lines(m)])
-
-
-def _show(m: Model) -> str:
-    """render(m) on one line, or "<empty>" for the empty model."""
-    return " ".join(_lines(m)) or "<empty>"

@@ -41,14 +41,13 @@ from modelalg.algebra import (
     _implication_audit,
 )
 from modelalg.report import report_to_json
-from modelalg.syntax import _show
 
 from .oracle import EnumOracle, parse_witness
 from .strategies import TINY_UNIVERSE, models
 
 @given(models)
 def test_show_is_render_on_one_line(m):
-    assert _show(m) == (render(m).replace("\n", " ").strip() or "<empty>")
+    assert m.line == (render(m).replace("\n", " ").strip() or "<empty>")
     assert parse_strict(render(m)) == normalize(m)
 
 
@@ -338,7 +337,7 @@ def test_first_failures_kept_in_order():
     verdict = check_pairs("intersect", corpus, u)["PP"]
     assert verdict.holds is False and verdict.checked == len(corpus.models) ** 2
     assert len(verdict.witnesses) == MAX_WITNESSES
-    assert [w.models for w in verdict.witnesses] == [(_show(a), _show(b)) for a, b in failures[:10]]
+    assert [w.models for w in verdict.witnesses] == [(a.line, b.line) for a, b in failures[:10]]
 
 
 # --- canonical and lazy denotations -----------------------------------------

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from modelalg import Corpus, Verdict, Witness, build_universe, classify, default_corpus, parse_strict
-from modelalg.report import _write_json, report_to_dict, report_to_json, report_to_text
+from modelalg import (
+    OPERATORS, Corpus, Verdict, Witness, build_universe, classify, default_corpus, parse_strict, quotient, syntax,
+)
+from modelalg.report import _write_json, partition_to_text, report_to_dict, report_to_json, report_to_text
 from modelalg.semantics import count_text
 
 # every code point, lone surrogates included
@@ -90,3 +92,16 @@ def test_reports_on_a_universe_whose_counts_pass_the_digit_limit():
     assert total.startswith("about 10^") and json.loads(json_text)["universe"]["system_count"] == total
     assert f"({total} systems)" in text
     assert "|=about 10^" in json_text  # the sizes of Table 2's semantic witnesses
+
+
+def test_each_model_is_written_on_one_line_once(monkeypatch):
+    # the checker's witnesses and both text reports share each model's one-line view
+    written = []  # holds every model written, so no two of them share an id
+    lines = syntax._lines
+    monkeypatch.setattr(syntax, "_lines", lambda m: written.append(m) or lines(m))
+    corpus = default_corpus()
+    u = build_universe(corpus.models)
+    for op in OPERATORS:
+        report_to_text(classify(op, corpus, u))
+    partition_to_text(quotient(corpus, u))
+    assert written and len({id(m) for m in written}) == len(written)

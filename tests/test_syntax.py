@@ -20,6 +20,7 @@ from modelalg import (
     parse,
     parse_strict,
     render,
+    strict_merge,
     syntactic_eq,
     syntax,
 )
@@ -178,7 +179,7 @@ def test_every_way_of_rebuilding_a_constraint_returns_the_interned_one(c, how):
 
 def test_parse_expand_normalize_and_trusted_return_the_interned_constraints():
     model = parse_strict("complete class P { a: T }")
-    trusted = (*VALID[:2], AttrComplete._trusted("P", (("a", "T"),)))
+    trusted = strict_merge(Model(VALID[:2]), Model(VALID[1:2])).constraints  # union, plus P's completeness
     expanded = syntax.expand([("P", (("a", "T"),), True)])
     for built in (model.constraints, normalize(Model(VALID)).constraints, expanded, trusted):
         assert len(built) == 3 and all(b is c for b, c in zip(built, VALID))
