@@ -6,9 +6,9 @@ dependency columns, builds the semantic quotient of a corpus, and checks that
 composition is a congruence for it.
 
 All verdicts are relative to a finite corpus and universe: a false verdict is
-definitive and carries witnesses; a true verdict means "no counterexample in
-this corpus/universe" (with sampling recorded when the check is not
-exhaustive).
+definitive and carries witnesses, kept as ids into the composer's models and
+rendered when first read; a true verdict means "no counterexample in this corpus/universe"
+(with sampling recorded when the check is not exhaustive).
 """
 
 from __future__ import annotations
@@ -25,13 +25,8 @@ from .syntax import AttrComplete, AttrTyped, ClassExists, Model, _check_ident, _
 # render is not called here; perfbench/tracing.py times it under this name too
 from .syntax import render  # noqa: F401
 
-MAX_WITNESSES = 10  # a verdict builds only its first failures' witnesses; associativity stops once both hold this many
+MAX_WITNESSES = 10  # a verdict keeps its first failures as ids, rendered when read; associativity stops when both are full
 TRIPLE_SAMPLES = 10_000  # associativity checks all n**3 triples if at most this many, else samples this many
-
-
-def _sizes(named) -> str:
-    """A witness's observed text: |name|=size for each (name, denotation)."""
-    return ", ".join([f"|{name}|={count_text(d.size)}" for name, d in named])
 
 
 # Table 1's set relations as data: (property, failure predicate, relation text,
@@ -72,15 +67,15 @@ TABLE2 = (
 def _compile(prop: str, twin: str, terms: tuple[str, ...], labels=None) -> tuple:
     """A coincidence row as the checks use it: property, twin, terms, the terms
     compared (a two-term row repeats its last term), the relation texts, the
-    (position, name) of each composed term a witness shows, and the names of
-    the terms' sets that a twin witness shows."""
+    name of each term a witness shows (None for a corpus model or element),
+    and the names of the terms' sets that a twin witness shows."""
     sm = [f"sm({t})" for t in terms]
     if len(terms) == 2:
         relations = f"{terms[0]} syntactically equals {terms[1]}", f"{sm[0]} equals {sm[1]}"
     else:
         relations = " = ".join(terms) + " syntactically", " = ".join(sm)
     names, sizes = (labels, labels) if labels else (terms, sm)
-    shown = tuple((k, name) for k, (t, name) in enumerate(zip(terms, names)) if t.startswith("op("))
+    shown = tuple(name if t.startswith("op(") else None for t, name in zip(terms, names))
     return (prop, twin, terms, (*terms, terms[-1])[:3], *relations, shown, tuple(sizes))
 
 
@@ -122,7 +117,7 @@ TABLE2_DEPENDENCIES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     models: tuple[str, ...]  # rendered sources, in quantifier order
     relation: str  # the relation that was expected to hold
@@ -136,6 +131,19 @@ class Verdict:
     witnesses: tuple[Witness, ...]
     exhaustive: bool
     checked: int  # tuples the quantifier ranges over, also where a settled check stopped early
+
+    # until read, a checker's false verdict keeps `_kept`, (composer's models, failures), not `witnesses`
+    def __getattr__(self, name):
+        if name != "witnesses" or "_kept" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        models, failures = self.__dict__.pop("_kept")
+        witnesses = self.__dict__["witnesses"] = tuple([Witness(
+            tuple([models[i].line for i in ids]), relation, _observed(models, names, values))
+            for ids, relation, names, values in failures])
+        return witnesses
+
+    def __reduce__(self):  # pickle and copy the rendered witnesses, not the kept models
+        return Verdict, (self.prop, self.holds, self.witnesses, self.exhaustive, self.checked)
 
 
 @dataclass(frozen=True)
@@ -218,23 +226,33 @@ class _Composer:
         return self.models[i].line
 
 
-def _verdict(prop, witnesses, checked, exhaustive) -> Verdict:
-    return Verdict(prop, not witnesses, tuple(witnesses), exhaustive, checked)
+def _observed(models: list, names: tuple, values: tuple) -> str:
+    """The observed text of a failure kept as (model ids, relation, names, values), for its witness
+    and the JSON writer: |name|=size for denotations, name=model text for ids where name is not None."""
+    if isinstance(values[0], Denotation):
+        return ", ".join([f"|{name}|={count_text(d.size)}" for name, d in zip(names, values)])
+    return "; ".join([f"{name}={models[i].line}" for name, i in zip(names, values) if name])
+
+
+def _verdict(prop, comp: _Composer, failures: list, checked, exhaustive) -> Verdict:
+    v = Verdict(prop, not failures, (), exhaustive, checked)
+    if failures:  # rendered when read, see Verdict.__getattr__; the rest of comp, its memo, can go
+        del v.__dict__["witnesses"]
+        v.__dict__["_kept"] = comp.models, failures
+    return v
 
 
 def _mismatch(comp: _Composer, row: tuple, fails: dict, models: tuple, ids: tuple) -> None:
     """Record models (ids `models`) on which a coincidence row's terms (ids
     `ids`, two or three) do not share one id: the row fails there, and so does
     its twin where the canonical denotations differ too (equal ids denote the
-    same set).  It is still called once both verdicts hold MAX_WITNESSES
-    witnesses: a full verdict skips only its witness and, for a twin, the denotation comparison."""
+    same set), each failure kept as ids.  It is still called once both verdicts hold
+    MAX_WITNESSES failures: a full verdict skips only its record and, for a twin, the denotation comparison."""
     prop, twin, _, _, relation, twin_relation, shown, sizes = row
     if len(fails[prop]) < MAX_WITNESSES:
-        observed = "; ".join([f"{name}={comp.show(ids[k])}" for k, name in shown])
-        fails[prop].append(Witness(tuple(map(comp.show, models)), relation, observed))
+        fails[prop].append((models, relation, shown, ids))
     if len(fails[twin]) < MAX_WITNESSES and not comp.den(ids[0]) is comp.den(ids[1]) is comp.den(ids[-1]):
-        observed = _sizes(zip(sizes, map(comp.den, ids)))
-        fails[twin].append(Witness(tuple(map(comp.show, models)), twin_relation, observed))
+        fails[twin].append((models, twin_relation, sizes, tuple(map(comp.den, ids))))
 
 
 @lru_cache(maxsize=8)
@@ -251,7 +269,7 @@ def _sample_triples(n: int, seed: int) -> tuple:
 def _check_pairs(comp: _Composer) -> dict:
     """Every TABLE1_PAIR_ROWS verdict and Com's, from one row-major pass over the corpus pairs."""
     n = len(comp.ids)
-    fails: dict[str, list[Witness]] = {p: [] for p in TABLE1_PROPS}
+    fails: dict[str, list] = {p: [] for p in TABLE1_PROPS}
     for i, a in enumerate(comp.ids):
         da = comp.den(a)  # sm(m1), once per row
         for j, b in enumerate(comp.ids):
@@ -259,12 +277,12 @@ def _check_pairs(comp: _Composer) -> dict:
             sets = comp.den(ab), da, db, da & db  # in _PAIR_SETS order
             for prop, failed, relation, shown in TABLE1_PAIR_ROWS:
                 if len(fails[prop]) < MAX_WITNESSES and failed(*sets):
-                    fails[prop].append(Witness((comp.show(a), comp.show(b)), relation,
-                                               _sizes((_PAIR_SETS[k], sets[k]) for k in shown)))
+                    fails[prop].append(((a, b), relation, tuple(_PAIR_SETS[k] for k in shown),
+                                        tuple(sets[k] for k in shown)))
             if i < j and ab != (ba := comp(b, a)):
                 _mismatch(comp, _COM, fails, (a, b), (ab, ba))
-    return {**{prop: _verdict(prop, fails[prop], n * n, True) for prop, *_ in TABLE1_PAIR_ROWS},
-            **{p: _verdict(p, fails[p], n * (n - 1) // 2, True) for p in _COM[:2]}}
+    return {**{prop: _verdict(prop, comp, fails[prop], n * n, True) for prop, *_ in TABLE1_PAIR_ROWS},
+            **{p: _verdict(p, comp, fails[p], n * (n - 1) // 2, True) for p in _COM[:2]}}
 
 
 # nothing in src/ calls these names; perfbench/tracing.py rebinds them to time the pair pass
@@ -282,7 +300,7 @@ def _check_associativity(comp: _Composer, seed: int) -> dict:
     else:
         triples = _sample_triples(n, seed)
         exhaustive, checked = False, TRIPLE_SAMPLES
-    fails: dict[str, list[Witness]] = {p: [] for p in _ASS[:2]}
+    fails: dict[str, list] = {p: [] for p in _ASS[:2]}
     for i, j, k in triples:
         left = comp(pairs[i][j], ids[k])
         right = comp(ids[i], pairs[j][k])
@@ -290,7 +308,7 @@ def _check_associativity(comp: _Composer, seed: int) -> dict:
             _mismatch(comp, _ASS, fails, (ids[i], ids[j], ids[k]), (left, right))
             if len(fails["Ass_sm"]) == MAX_WITNESSES:  # an Ass_sm failure is an Ass failure, so both are settled
                 break
-    return {p: _verdict(p, fails[p], checked, exhaustive) for p in _ASS[:2]}
+    return {p: _verdict(p, comp, fails[p], checked, exhaustive) for p in _ASS[:2]}
 
 
 # --- table 2 ---------------------------------------------------------------
@@ -298,7 +316,7 @@ def _check_associativity(comp: _Composer, seed: int) -> dict:
 
 def _check_element(comp: _Composer, e: int) -> dict:
     """Table 2 for the candidate element with id e, against every corpus model."""
-    fails: dict[str, list[Witness]] = {p: [] for p in TABLE2_PROPS}
+    fails: dict[str, list] = {p: [] for p in TABLE2_PROPS}
     for i in comp.ids:
         rm, lm = comp(i, e), comp(e, i)
         terms = (i, e, rm, lm, comp(rm, e), comp(e, lm))
@@ -307,7 +325,7 @@ def _check_element(comp: _Composer, e: int) -> dict:
             x, y, z = terms[a], terms[b], terms[c]
             if not x == y == z:
                 _mismatch(comp, row, fails, models, (x, y, z))
-    return {p: _verdict(p, fails[p], len(comp.ids), True) for p in TABLE2_PROPS}
+    return {p: _verdict(p, comp, fails[p], len(comp.ids), True) for p in TABLE2_PROPS}
 
 
 # --- public single checks --------------------------------------------------
@@ -352,12 +370,10 @@ def _congruence(comp: _Composer, partition: Partition) -> Verdict:
                     checked += 1
                     d = comp.den(comp(ids[a], ids[b]))
                     if d is not dr and len(failures) < MAX_WITNESSES:
-                        failures.append(Witness(
-                            (comp.show(ids[a]), comp.show(ids[b]), comp.show(ri), comp.show(rj)),
-                            "sm(op(ma,mb)) equals sm(op(rep_i,rep_j)) for all"
-                            " representatives ma, mb of the two classes",
-                            _sizes((("sm(op(ma,mb))", d), ("sm(op(rep_i,rep_j))", dr)))))
-    return _verdict("congruence", failures, checked, True)
+                        failures.append(((ids[a], ids[b], ri, rj), "sm(op(ma,mb)) equals sm(op(rep_i,rep_j)) for all"
+                                         " representatives ma, mb of the two classes",
+                                         ("sm(op(ma,mb))", "sm(op(rep_i,rep_j))"), (d, dr)))
+    return _verdict("congruence", comp, failures, checked, True)
 
 
 def congruence_check(op, partition: Partition, u: Universe) -> Verdict:
@@ -388,28 +404,16 @@ def classify(op_id: str, corpus: Corpus, u: Universe, seed: int = 42) -> Operato
     comp = _Composer(op_id, corpus, u)
     table1 = {**_check_pairs(comp), **_check_associativity(comp, seed)}
     table1 = {p: table1[p] for p in TABLE1_PROPS}
-
     table2 = tuple((i, _check_element(comp, e)) for i, e in enumerate(comp.ids))
-
-    audit = _implication_audit(table1, table2)
-
-    part = quotient(corpus, u)
-    cong = _congruence(comp, part)
+    cong = _congruence(comp, quotient(corpus, u)).holds
     fpp = table1["FPP"].holds
     i_comp_all = all(props["I_comp"].holds for _, props in table2)
     theorems = {
-        "t1": {
-            "applicable": fpp,
-            "holds": (not fpp)
-            or (table1["Com_sm"].holds and table1["Ass_sm"].holds and i_comp_all),
-        },
-        "t2": {
-            "applicable": fpp,
-            "congruence": cong.holds,
-            "holds": (not fpp) or cong.holds,
-        },
+        "t1": {"applicable": fpp,
+               "holds": not fpp or (table1["Com_sm"].holds and table1["Ass_sm"].holds and i_comp_all)},
+        "t2": {"applicable": fpp, "congruence": cong, "holds": not fpp or cong},
     }
-    return OperatorReport(op_id, u, corpus, table1, table2, audit, theorems)
+    return OperatorReport(op_id, u, corpus, table1, table2, _implication_audit(table1, table2), theorems)
 
 
 # --- corpus generation -----------------------------------------------------
@@ -533,13 +537,9 @@ def default_corpus(seed: int = 42) -> Corpus:
 
 
 def _flat_verdicts(report: OperatorReport) -> dict[str, bool]:
-    flat = {f"table1.{p}": v.holds for p, v in report.table1.items()}
-    for idx, props in report.table2:
-        for p, v in props.items():
-            flat[f"table2[{idx}].{p}"] = v.holds
-    flat["theorems.t1"] = report.theorems["t1"]["holds"]
-    flat["theorems.t2"] = report.theorems["t2"]["holds"]
-    return flat
+    return {**{f"table1.{p}": v.holds for p, v in report.table1.items()},
+            **{f"table2[{idx}].{p}": v.holds for idx, props in report.table2 for p, v in props.items()},
+            **{f"theorems.{t}": report.theorems[t]["holds"] for t in ("t1", "t2")}}
 
 
 def stability_check(op_id: str, corpus: Corpus, seed: int = 42) -> StabilityReport:

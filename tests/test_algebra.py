@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import gc
 import itertools
+import pickle
 import random
 
 import pytest
@@ -310,8 +313,11 @@ def test_witnesses_built_only_when_kept(monkeypatch, op):
     monkeypatch.setattr(algebra, "Witness", counted)
     corpus = default_corpus()
     report = classify(op, corpus, build_universe(corpus.models))
-    verdicts = [*report.table1.values(), *(v for _, props in report.table2 for v in props.values())]
-    assert len(built) == sum(len(v.witnesses) for v in verdicts)
+    verdicts = _report_verdicts(report)
+    kept = [w for v in verdicts for w in v.witnesses]
+    assert kept and [w for v in verdicts for w in v.witnesses] == kept
+    # each kept witness was built once, on the first read, and the second read built none
+    assert built == [(w.models, w.relation, w.observed) for w in kept]
 
 
 def test_first_failures_kept_in_order():
@@ -858,20 +864,87 @@ def test_classify_leaves_the_collector_as_it_found_it(monkeypatch, small_corpus,
 @pytest.mark.parametrize("op", sorted(OPERATORS))
 def test_classify_and_its_report_make_no_reference_cycles(op):
     # the premise of pausing the collector: nothing a classification, its report and
-    # its universe leave is a cycle, so dropping them frees all by reference counting
+    # its universe leave is a cycle, so dropping them frees all by reference counting,
+    # both while its verdicts keep their failures as the composer's model ids and once read
     corpus = default_corpus()
-    u = build_universe(corpus.models)
     was = gc.isenabled()
     gc.collect()
     gc.disable()  # no automatic pass may free a cycle before the count
     try:
-        text = report_to_json(classify(op, corpus, u))
-        assert u.attr_pool and text
-        del u, text
-        assert gc.collect() == 0
+        for read in (False, True):
+            u = build_universe(corpus.models)
+            report = classify(op, corpus, u)
+            if read:
+                assert all(v.witnesses is not None for v in _report_verdicts(report))
+            text = report_to_json(report)
+            assert u.attr_pool and text and any("_kept" in vars(v) for v in _report_verdicts(report)) != read
+            del u, text, report
+            assert gc.collect() == 0
     finally:
         if was:
             gc.enable()
+
+
+def _report_verdicts(report) -> list:
+    return [*report.table1.values(), *(v for _, props in report.table2 for v in props.values())]
+
+
+def _unread_com() -> Verdict:
+    # union's Com fails on the default corpus; a fresh verdict keeps its failures as ids
+    corpus = default_corpus()
+    v = check_pairs("union", corpus, build_universe(corpus.models))["Com"]
+    assert not v.holds and "_kept" in vars(v)
+    return v
+
+
+def _reaches(obj, kind) -> bool:
+    """Whether any object reachable from obj, not going through a class, is a `kind`."""
+    seen, todo = set(), [obj]
+    while todo:
+        o = todo.pop()
+        if isinstance(o, kind):
+            return True
+        if id(o) not in seen and not isinstance(o, type):
+            seen.add(id(o))
+            todo.extend(gc.get_referents(o))
+    return False
+
+
+COPIES = {
+    **{f"pickle-{p}": lambda v, p=p: pickle.loads(pickle.dumps(v, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)},
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_an_unread_verdict_pickles_and_copies_as_its_rendered_tuple(how):
+    # an unread verdict keeps the composer's models, but not the composer and its memo
+    v = _unread_com()
+    assert _reaches(v, Model) and not _reaches(v, algebra._Composer)
+    copied = COPIES[how](v)
+    assert type(copied) is Verdict and "_kept" not in vars(copied)
+    assert copied == Verdict(v.prop, v.holds, v.witnesses, v.exhaustive, v.checked)
+    assert not _reaches(copied, (Model, algebra._Composer)) and not _reaches(v, Model)  # reading v let them go
+
+
+def test_an_unread_verdict_compares_hashes_prints_and_replaces_as_its_rendered_self():
+    rendered = _unread_com()
+    assert rendered.witnesses and rendered.witnesses is rendered.witnesses and "_kept" not in vars(rendered)
+    reads = (
+        lambda v: v == rendered and rendered == v,
+        lambda v: hash(v) == hash(rendered),
+        lambda v: repr(v) == repr(rendered),
+        lambda v: dataclasses.replace(v, checked=1) == dataclasses.replace(rendered, checked=1),
+        lambda v: dataclasses.astuple(v) == dataclasses.astuple(rendered),
+    )
+    for read in reads:
+        assert read(_unread_com())
+    unread = _unread_com()
+    for v in (unread, rendered):
+        with pytest.raises(AttributeError, match="^'Verdict' object has no attribute 'witness'$"):
+            v.witness
+    assert "_kept" in vars(unread) and not hasattr(rendered, "_kept")
 
 
 # --- stability --------------------------------------------------------------

@@ -2,14 +2,17 @@ import json
 import time
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modelalg import (
-    OPERATORS, Corpus, Verdict, Witness, build_universe, classify, default_corpus, parse_strict, quotient, syntax,
+    OPERATORS, Corpus, Verdict, Witness, algebra, build_universe, check_pairs, classify, default_corpus, parse_strict,
+    quotient, stability_check, syntax,
 )
 from modelalg.report import _write_json, partition_to_text, report_to_dict, report_to_json, report_to_text
 from modelalg.semantics import count_text
+
+from .strategies import TINY_UNIVERSE, models
 
 # every code point, lone surrogates included
 strings = st.text(st.characters(exclude_categories=()))
@@ -47,7 +50,7 @@ AT_REPORT_DEPTHS = (
 
 def write(value) -> str:
     out: list[str] = []
-    _write_json(value, out, "\n")
+    _write_json(value, out, "\n", {})
     return "".join(out)
 
 
@@ -73,6 +76,56 @@ def test_report_written_as_its_plain_dict():
     corpus = Corpus(models, "test")
     rep = classify("override", corpus, build_universe(models))
     assert report_to_json(rep) == json.dumps(report_to_dict(rep), default=verdict_dict, indent=2) + "\n"
+
+
+def _unread(rep) -> list:
+    verdicts = [*rep.table1.values(), *(v for _, props in rep.table2 for v in props.values())]
+    return [v for v in verdicts if "_kept" in vars(v)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(models, min_size=1, max_size=6), st.sampled_from(sorted(OPERATORS)))
+def test_a_report_is_written_alike_from_its_failures_and_from_its_witnesses(corpus_models, op):
+    rep = classify(op, Corpus(tuple(corpus_models), "drawn"), TINY_UNIVERSE)
+    unread = _unread(rep)
+    fresh = report_to_json(rep)
+    assert all("_kept" in vars(v) for v in unread)  # writing read no verdict
+    for v in unread:
+        assert v.witnesses
+    assert _unread(rep) == []
+    assert report_to_json(rep) == fresh == json.dumps(report_to_dict(rep), default=verdict_dict, indent=2) + "\n"
+
+
+def test_an_unread_verdict_is_written_by_its_witness_count_whatever_its_holds():
+    corpus = default_corpus()
+    v = check_pairs("union", corpus, build_universe(corpus.models))["Com"]
+    object.__setattr__(v, "holds", True)  # as test_verdict_written_as_its_plain_dict may draw one
+    written = [write(wrap(v)) for wrap in AT_REPORT_DEPTHS]
+    assert "_kept" in vars(v)
+    assert written == [json.dumps(wrap(verdict_dict(v)), indent=2) for wrap in AT_REPORT_DEPTHS]
+
+
+def test_unread_verdicts_of_two_checks_are_written_together_as_their_plain_dicts():
+    # a renamed corpus fails on the same ids, which name other models there
+    corpus = default_corpus()
+    renamed = Corpus([parse_strict(syntax.render(m).replace("Person", "Human")) for m in corpus.models], "renamed")
+    verdicts = {name: check_pairs("union", c, build_universe(c.models))["Com"]
+                for name, c in (("a", corpus), ("b", renamed))}
+    written = write(verdicts)
+    assert all("_kept" in vars(v) for v in verdicts.values())
+    assert written == json.dumps({name: verdict_dict(v) for name, v in verdicts.items()}, indent=2)
+
+
+@pytest.mark.parametrize("op", sorted(OPERATORS))
+def test_a_json_report_and_stability_build_no_witness(monkeypatch, op):
+    built = []
+    witness = algebra.Witness
+    monkeypatch.setattr(algebra, "Witness", lambda *args: built.append(args) or witness(*args))
+    corpus = default_corpus()
+    rep = classify(op, corpus, build_universe(corpus.models))
+    assert report_to_json(rep) and _unread(rep)
+    assert stability_check(op, corpus).operator == op
+    assert built == []
 
 
 @pytest.mark.parametrize("value", [1.5, {"a": [1.5]}, {1, 2}, (1, 2), {1: "a"}, [{None: 0}], b"x"])
