@@ -136,10 +136,11 @@ class Verdict:
     def __getattr__(self, name):
         if name != "witnesses" or "_kept" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        models, failures = self.__dict__.pop("_kept")
+        models, failures = self.__dict__["_kept"]
         witnesses = self.__dict__["witnesses"] = tuple([Witness(
             tuple([models[i].line for i in ids]), relation, _observed(models, names, values))
             for ids, relation, names, values in failures])
+        self.__dict__.pop("_kept", None)  # only now: a read that starts meanwhile, say in another thread, renders too
         return witnesses
 
     def __reduce__(self):  # pickle and copy the rendered witnesses, not the kept models

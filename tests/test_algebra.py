@@ -928,6 +928,22 @@ def test_an_unread_verdict_pickles_and_copies_as_its_rendered_tuple(how):
     assert not _reaches(copied, (Model, algebra._Composer)) and not _reaches(v, Model)  # reading v let them go
 
 
+def test_a_verdict_read_while_it_renders_gets_the_same_witnesses(monkeypatch):
+    # as a read in another thread would, between the first read's start and its end
+    v = _unread_com()
+    inner = []
+    witness = algebra.Witness
+
+    def nested(*args):
+        if not inner:
+            inner.append("started")
+            inner.append(v.witnesses)
+        return witness(*args)
+
+    monkeypatch.setattr(algebra, "Witness", nested)
+    assert v.witnesses == inner[1] and "_kept" not in vars(v)
+
+
 def test_an_unread_verdict_compares_hashes_prints_and_replaces_as_its_rendered_self():
     rendered = _unread_com()
     assert rendered.witnesses and rendered.witnesses is rendered.witnesses and "_kept" not in vars(rendered)
