@@ -6,9 +6,9 @@ dependency columns, builds the semantic quotient of a corpus, and checks that
 composition is a congruence for it.
 
 All verdicts are relative to a finite corpus and universe: a false verdict is
-definitive and carries witnesses, kept as ids into the composer's models and
-rendered when first read; a true verdict means "no counterexample in this corpus/universe"
-(with sampling recorded when the check is not exhaustive).
+definitive and carries witnesses, kept as the models and sets involved and
+rendered when first read; a true verdict means "no counterexample in this
+corpus/universe" (with sampling recorded when the check is not exhaustive).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .syntax import AttrComplete, AttrTyped, ClassExists, Model, _check_ident, _
 # render is not called here; perfbench/tracing.py times it under this name too
 from .syntax import render  # noqa: F401
 
-MAX_WITNESSES = 10  # a verdict keeps its first failures as ids, rendered when read; associativity stops when both are full
+MAX_WITNESSES = 10  # a verdict keeps its first failures, rendered when read; associativity stops when both are full
 TRIPLE_SAMPLES = 10_000  # associativity checks all n**3 triples if at most this many, else samples this many
 
 
@@ -132,14 +132,10 @@ class Verdict:
     exhaustive: bool
     checked: int  # tuples the quantifier ranges over, also where a settled check stopped early
 
-    # until read, a checker's false verdict keeps `_kept`, (composer's models, failures), not `witnesses`
-    def __getattr__(self, name):
+    def __getattr__(self, name):  # until read, a checker's false verdict keeps `_kept`, see _failures
         if name != "witnesses" or "_kept" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        models, failures = self.__dict__["_kept"]
-        witnesses = self.__dict__["witnesses"] = tuple([Witness(
-            tuple([models[i].line for i in ids]), relation, _observed(models, names, values))
-            for ids, relation, names, values in failures])
+        witnesses = self.__dict__["witnesses"] = tuple([Witness(*failure) for failure in _failures(self)])
         self.__dict__.pop("_kept", None)  # only now: a read that starts meanwhile, say in another thread, renders too
         return witnesses
 
@@ -227,19 +223,23 @@ class _Composer:
         return self.models[i].line
 
 
-def _observed(models: list, names: tuple, values: tuple) -> str:
-    """The observed text of a failure kept as (model ids, relation, names, values), for its witness
-    and the JSON writer: |name|=size for denotations, name=model text for ids where name is not None."""
-    if isinstance(values[0], Denotation):
-        return ", ".join([f"|{name}|={count_text(d.size)}" for name, d in zip(names, values)])
-    return "; ".join([f"{name}={models[i].line}" for name, i in zip(names, values) if name])
+def _failures(v: Verdict) -> list:
+    """v's witnesses as (models, relation, observed) texts, for its first read and the JSON writer.  Until
+    then a checker's false verdict keeps each failure in `_kept` as (models, relation, names, values), and
+    observed is |name|=size for each denotation value, else name=model text for each value named not None."""
+    if (kept := v.__dict__.get("_kept")) is None:
+        return [(w.models, w.relation, w.observed) for w in v.witnesses]
+    return [(models, relation,
+             ", ".join([f"|{name}|={count_text(d.size)}" for name, d in zip(names, values)])
+             if isinstance(values[0], Denotation) else "; ".join([f"{n}={m.line}" for n, m in zip(names, values) if n]))
+            for models, relation, names, values in kept]
 
 
-def _verdict(prop, comp: _Composer, failures: list, checked, exhaustive) -> Verdict:
+def _verdict(prop, failures: list, checked, exhaustive) -> Verdict:
     v = Verdict(prop, not failures, (), exhaustive, checked)
-    if failures:  # rendered when read, see Verdict.__getattr__; the rest of comp, its memo, can go
+    if failures:  # rendered when read, see _failures
         del v.__dict__["witnesses"]
-        v.__dict__["_kept"] = comp.models, failures
+        v.__dict__["_kept"] = failures
     return v
 
 
@@ -247,13 +247,13 @@ def _mismatch(comp: _Composer, row: tuple, fails: dict, models: tuple, ids: tupl
     """Record models (ids `models`) on which a coincidence row's terms (ids
     `ids`, two or three) do not share one id: the row fails there, and so does
     its twin where the canonical denotations differ too (equal ids denote the
-    same set), each failure kept as ids.  It is still called once both verdicts hold
-    MAX_WITNESSES failures: a full verdict skips only its record and, for a twin, the denotation comparison."""
+    same set), each kept with the terms' models or sets.  It is still called once both
+    verdicts hold MAX_WITNESSES failures: a full verdict skips only its record and the twin's comparison."""
     prop, twin, _, _, relation, twin_relation, shown, sizes = row
     if len(fails[prop]) < MAX_WITNESSES:
-        fails[prop].append((models, relation, shown, ids))
+        fails[prop].append((tuple(map(comp.show, models)), relation, shown, tuple(map(comp.models.__getitem__, ids))))
     if len(fails[twin]) < MAX_WITNESSES and not comp.den(ids[0]) is comp.den(ids[1]) is comp.den(ids[-1]):
-        fails[twin].append((models, twin_relation, sizes, tuple(map(comp.den, ids))))
+        fails[twin].append((tuple(map(comp.show, models)), twin_relation, sizes, tuple(map(comp.den, ids))))
 
 
 @lru_cache(maxsize=8)
@@ -278,12 +278,12 @@ def _check_pairs(comp: _Composer) -> dict:
             sets = comp.den(ab), da, db, da & db  # in _PAIR_SETS order
             for prop, failed, relation, shown in TABLE1_PAIR_ROWS:
                 if len(fails[prop]) < MAX_WITNESSES and failed(*sets):
-                    fails[prop].append(((a, b), relation, tuple(_PAIR_SETS[k] for k in shown),
-                                        tuple(sets[k] for k in shown)))
+                    fails[prop].append(((comp.show(a), comp.show(b)), relation,
+                                        tuple(_PAIR_SETS[k] for k in shown), tuple(sets[k] for k in shown)))
             if i < j and ab != (ba := comp(b, a)):
                 _mismatch(comp, _COM, fails, (a, b), (ab, ba))
-    return {**{prop: _verdict(prop, comp, fails[prop], n * n, True) for prop, *_ in TABLE1_PAIR_ROWS},
-            **{p: _verdict(p, comp, fails[p], n * (n - 1) // 2, True) for p in _COM[:2]}}
+    return {**{prop: _verdict(prop, fails[prop], n * n, True) for prop, *_ in TABLE1_PAIR_ROWS},
+            **{p: _verdict(p, fails[p], n * (n - 1) // 2, True) for p in _COM[:2]}}
 
 
 # nothing in src/ calls these names; perfbench/tracing.py rebinds them to time the pair pass
@@ -309,7 +309,7 @@ def _check_associativity(comp: _Composer, seed: int) -> dict:
             _mismatch(comp, _ASS, fails, (ids[i], ids[j], ids[k]), (left, right))
             if len(fails["Ass_sm"]) == MAX_WITNESSES:  # an Ass_sm failure is an Ass failure, so both are settled
                 break
-    return {p: _verdict(p, comp, fails[p], checked, exhaustive) for p in _ASS[:2]}
+    return {p: _verdict(p, fails[p], checked, exhaustive) for p in _ASS[:2]}
 
 
 # --- table 2 ---------------------------------------------------------------
@@ -326,7 +326,7 @@ def _check_element(comp: _Composer, e: int) -> dict:
             x, y, z = terms[a], terms[b], terms[c]
             if not x == y == z:
                 _mismatch(comp, row, fails, models, (x, y, z))
-    return {p: _verdict(p, comp, fails[p], len(comp.ids), True) for p in TABLE2_PROPS}
+    return {p: _verdict(p, fails[p], len(comp.ids), True) for p in TABLE2_PROPS}
 
 
 # --- public single checks --------------------------------------------------
@@ -371,10 +371,11 @@ def _congruence(comp: _Composer, partition: Partition) -> Verdict:
                     checked += 1
                     d = comp.den(comp(ids[a], ids[b]))
                     if d is not dr and len(failures) < MAX_WITNESSES:
-                        failures.append(((ids[a], ids[b], ri, rj), "sm(op(ma,mb)) equals sm(op(rep_i,rep_j)) for all"
+                        failures.append(((comp.show(ids[a]), comp.show(ids[b]), comp.show(ri), comp.show(rj)),
+                                         "sm(op(ma,mb)) equals sm(op(rep_i,rep_j)) for all"
                                          " representatives ma, mb of the two classes",
                                          ("sm(op(ma,mb))", "sm(op(rep_i,rep_j))"), (d, dr)))
-    return _verdict("congruence", comp, failures, checked, True)
+    return _verdict("congruence", failures, checked, True)
 
 
 def congruence_check(op, partition: Partition, u: Universe) -> Verdict:
@@ -406,15 +407,26 @@ def classify(op_id: str, corpus: Corpus, u: Universe, seed: int = 42) -> Operato
     table1 = {**_check_pairs(comp), **_check_associativity(comp, seed)}
     table1 = {p: table1[p] for p in TABLE1_PROPS}
     table2 = tuple((i, _check_element(comp, e)) for i, e in enumerate(comp.ids))
-    cong = _congruence(comp, quotient(corpus, u)).holds
+
+    audit = _implication_audit(table1, table2)
+
+    part = quotient(corpus, u)
+    cong = _congruence(comp, part)
     fpp = table1["FPP"].holds
     i_comp_all = all(props["I_comp"].holds for _, props in table2)
     theorems = {
-        "t1": {"applicable": fpp,
-               "holds": not fpp or (table1["Com_sm"].holds and table1["Ass_sm"].holds and i_comp_all)},
-        "t2": {"applicable": fpp, "congruence": cong, "holds": not fpp or cong},
+        "t1": {
+            "applicable": fpp,
+            "holds": (not fpp)
+            or (table1["Com_sm"].holds and table1["Ass_sm"].holds and i_comp_all),
+        },
+        "t2": {
+            "applicable": fpp,
+            "congruence": cong.holds,
+            "holds": (not fpp) or cong.holds,
+        },
     }
-    return OperatorReport(op_id, u, corpus, table1, table2, _implication_audit(table1, table2), theorems)
+    return OperatorReport(op_id, u, corpus, table1, table2, audit, theorems)
 
 
 # --- corpus generation -----------------------------------------------------
@@ -538,9 +550,13 @@ def default_corpus(seed: int = 42) -> Corpus:
 
 
 def _flat_verdicts(report: OperatorReport) -> dict[str, bool]:
-    return {**{f"table1.{p}": v.holds for p, v in report.table1.items()},
-            **{f"table2[{idx}].{p}": v.holds for idx, props in report.table2 for p, v in props.items()},
-            **{f"theorems.{t}": report.theorems[t]["holds"] for t in ("t1", "t2")}}
+    flat = {f"table1.{p}": v.holds for p, v in report.table1.items()}
+    for idx, props in report.table2:
+        for p, v in props.items():
+            flat[f"table2[{idx}].{p}"] = v.holds
+    flat["theorems.t1"] = report.theorems["t1"]["holds"]
+    flat["theorems.t2"] = report.theorems["t2"]["holds"]
+    return flat
 
 
 def stability_check(op_id: str, corpus: Corpus, seed: int = 42) -> StabilityReport:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
 
-from .algebra import OperatorReport, Partition, StabilityReport, Verdict, _observed
+from .algebra import OperatorReport, Partition, StabilityReport, Verdict, _failures
 from .semantics import count_text
 from .syntax import render
 
@@ -33,38 +33,29 @@ def report_to_dict(r: OperatorReport) -> dict:
     }
 
 
-def _write_verdict(v: Verdict, out: list, newline: str, encoded: dict) -> None:
-    """Append the json.dumps(..., indent=2) text of v at newline's depth.  An unread
-    verdict is written from its kept failures, building no Witness; `encoded` keeps the
-    JSON of each relation and of each models array, per (models list, ids, depth), while
-    the value written keeps those lists alive."""
+def _write_verdict(v: Verdict, out: list, newline: str) -> None:
+    """Append the json.dumps(..., indent=2) text of v at newline's depth in
+    pieces: a head, one per witness, and a tail.  An unread verdict is written
+    from the failures it keeps, building no Witness (see algebra._failures)."""
     i1, i2, i3, i4 = (newline + "  " * k for k in range(1, 5))
-    kept = v.__dict__.get("_kept")
-    if kept is None:
-        witnesses = [(_array(w.models, i3, i4), encode_basestring_ascii(w.relation), w.observed) for w in v.witnesses]
-    else:
-        models, failures = kept
-        witnesses = []
-        for ids, relation, names, values in failures:
-            key = id(models), ids, newline
-            array = encoded.get(key) or encoded.setdefault(key, _array([models[i].line for i in ids], i3, i4))
-            relation = encoded.get(relation) or encoded.setdefault(relation, encode_basestring_ascii(relation))
-            witnesses.append((array, relation, _observed(models, names, values)))
-    items = f",{i2}".join([f'{{{i3}"models": {models},{i3}"relation": {relation},{i3}"observed": '
-                           f'{encode_basestring_ascii(observed)}{i2}}}' for models, relation, observed in witnesses])
-    out.append(f'{{{i1}"holds": {"true" if v.holds else "false"},{i1}"witnesses": '
-               f'{f"[{i2}{items}{i1}]" if witnesses else "[]"},{i1}"sampling": {{{i2}"exhaustive": '
-               f'{"true" if v.exhaustive else "false"},{i2}"checked": {int.__repr__(v.checked)}{i1}}}{newline}}}')
+    out.append(f'{{{i1}"holds": {"true" if v.holds else "false"},{i1}"witnesses": ')
+    sep = "[" + i2
+    failures = _failures(v)
+    for models, relation, observed in failures:
+        models = f"[{i4}{f',{i4}'.join(map(encode_basestring_ascii, models))}{i3}]" if models else "[]"
+        relation, observed = encode_basestring_ascii(relation), encode_basestring_ascii(observed)
+        out.append(f'{sep}{{{i3}"models": {models},{i3}"relation": {relation},{i3}"observed": {observed}{i2}}}')
+        sep = "," + i2
+    close = i1 + "]" if failures else "[]"
+    exhaustive = "true" if v.exhaustive else "false"
+    checked = int.__repr__(v.checked)
+    out.append(f'{close},{i1}"sampling": {{{i2}"exhaustive": {exhaustive},{i2}"checked": {checked}{i1}}}{newline}}}')
 
 
-def _array(texts, i3: str, i4: str) -> str:
-    return f"[{i4}{f',{i4}'.join(map(encode_basestring_ascii, texts))}{i3}]" if texts else "[]"
-
-
-def _write_json(value, out: list, newline: str, encoded: dict) -> None:
+def _write_json(value, out: list, newline: str) -> None:
     """Append to out the pieces of json.dumps(value, indent=2), for values made
     of dicts with str keys, lists, str, int, bool, None and Verdicts; newline
-    is a line break plus the indentation of value's level; see _write_verdict for `encoded`."""
+    is a line break plus the indentation of value's level."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None or isinstance(value, bool):
@@ -77,8 +68,10 @@ def _write_json(value, out: list, newline: str, encoded: dict) -> None:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(f"{sep}{encode_basestring_ascii(key)}: ")
-            _write_json(item, out, inner, encoded)
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(item, out, inner)
             sep = comma
         out.append(newline + "}" if value else "{}")
     elif isinstance(value, list):
@@ -86,18 +79,18 @@ def _write_json(value, out: list, newline: str, encoded: dict) -> None:
         sep, comma = "[" + inner, "," + inner
         for item in value:
             out.append(sep)
-            _write_json(item, out, inner, encoded)
+            _write_json(item, out, inner)
             sep = comma
         out.append(newline + "]" if value else "[]")
     elif isinstance(value, Verdict):
-        _write_verdict(value, out, newline, encoded)
+        _write_verdict(value, out, newline)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def report_to_json(r: OperatorReport) -> str:
     out: list[str] = []
-    _write_json(report_to_dict(r), out, "\n", {})
+    _write_json(report_to_dict(r), out, "\n")
     out.append("\n")
     return "".join(out)
 

@@ -50,7 +50,7 @@ AT_REPORT_DEPTHS = (
 
 def write(value) -> str:
     out: list[str] = []
-    _write_json(value, out, "\n", {})
+    _write_json(value, out, "\n")
     return "".join(out)
 
 
@@ -103,17 +103,6 @@ def test_an_unread_verdict_is_written_by_its_witness_count_whatever_its_holds():
     written = [write(wrap(v)) for wrap in AT_REPORT_DEPTHS]
     assert "_kept" in vars(v)
     assert written == [json.dumps(wrap(verdict_dict(v)), indent=2) for wrap in AT_REPORT_DEPTHS]
-
-
-def test_unread_verdicts_of_two_checks_are_written_together_as_their_plain_dicts():
-    # a renamed corpus fails on the same ids, which name other models there
-    corpus = default_corpus()
-    renamed = Corpus([parse_strict(syntax.render(m).replace("Person", "Human")) for m in corpus.models], "renamed")
-    verdicts = {name: check_pairs("union", c, build_universe(c.models))["Com"]
-                for name, c in (("a", corpus), ("b", renamed))}
-    written = write(verdicts)
-    assert all("_kept" in vars(v) for v in verdicts.values())
-    assert written == json.dumps({name: verdict_dict(v) for name, v in verdicts.items()}, indent=2)
 
 
 @pytest.mark.parametrize("op", sorted(OPERATORS))
