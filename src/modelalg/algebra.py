@@ -244,11 +244,11 @@ def _verdict(prop, failures: list, checked, exhaustive) -> Verdict:
 
 
 def _mismatch(comp: _Composer, row: tuple, fails: dict, models: tuple, ids: tuple) -> None:
-    """Record models (ids `models`) on which a coincidence row's terms (ids
-    `ids`, two or three) do not share one id: the row fails there, and so does
-    its twin where the canonical denotations differ too (equal ids denote the
-    same set), each kept with the terms' models or sets.  It is still called once both
-    verdicts hold MAX_WITNESSES failures: a full verdict skips only its record and the twin's comparison."""
+    """Record models (ids `models`) on which a coincidence row's terms (ids `ids`, two or three)
+    do not share one id: the row fails there, and so does its twin where the canonical denotations
+    differ too (equal ids denote the same set), each kept with the terms' models or sets and
+    rendered when read.  It is still called once both verdicts hold MAX_WITNESSES failures: a full
+    verdict skips only its record and, for a twin, the denotation comparison."""
     prop, twin, _, _, relation, twin_relation, shown, sizes = row
     if len(fails[prop]) < MAX_WITNESSES:
         fails[prop].append((tuple(map(comp.show, models)), relation, shown, tuple(map(comp.models.__getitem__, ids))))
@@ -406,6 +406,7 @@ def classify(op_id: str, corpus: Corpus, u: Universe, seed: int = 42) -> Operato
     comp = _Composer(op_id, corpus, u)
     table1 = {**_check_pairs(comp), **_check_associativity(comp, seed)}
     table1 = {p: table1[p] for p in TABLE1_PROPS}
+
     table2 = tuple((i, _check_element(comp, e)) for i, e in enumerate(comp.ids))
 
     audit = _implication_audit(table1, table2)

@@ -865,7 +865,7 @@ def test_classify_leaves_the_collector_as_it_found_it(monkeypatch, small_corpus,
 def test_classify_and_its_report_make_no_reference_cycles(op):
     # the premise of pausing the collector: nothing a classification, its report and
     # its universe leave is a cycle, so dropping them frees all by reference counting,
-    # both while its verdicts keep their failures as the composer's model ids and once read
+    # both while its verdicts keep their failures unrendered and once read
     corpus = default_corpus()
     was = gc.isenabled()
     gc.collect()
@@ -890,7 +890,7 @@ def _report_verdicts(report) -> list:
 
 
 def _unread_com() -> Verdict:
-    # union's Com fails on the default corpus; a fresh verdict keeps its failures as ids
+    # union's Com fails on the default corpus; a fresh verdict keeps its failures unrendered
     corpus = default_corpus()
     v = check_pairs("union", corpus, build_universe(corpus.models))["Com"]
     assert not v.holds and "_kept" in vars(v)
@@ -919,7 +919,7 @@ COPIES = {
 
 @pytest.mark.parametrize("how", COPIES)
 def test_an_unread_verdict_pickles_and_copies_as_its_rendered_tuple(how):
-    # an unread verdict keeps the composer's models, but not the composer and its memo
+    # an unread verdict keeps the models its failures name, but not the composer and its memo
     v = _unread_com()
     assert _reaches(v, Model) and not _reaches(v, algebra._Composer)
     copied = COPIES[how](v)
