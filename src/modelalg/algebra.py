@@ -243,17 +243,17 @@ def _verdict(prop, failures: list, checked, exhaustive) -> Verdict:
     return v
 
 
-def _mismatch(comp: _Composer, row: tuple, fails: dict, models: tuple, ids: tuple) -> None:
-    """Record models (ids `models`) on which a coincidence row's terms (ids `ids`, two or three)
-    do not share one id: the row fails there, and so does its twin where the canonical denotations
-    differ too (equal ids denote the same set), each kept with the terms' models or sets and
-    rendered when read.  It is still called once both verdicts hold MAX_WITNESSES failures: a full
-    verdict skips only its record and, for a twin, the denotation comparison."""
-    prop, twin, _, _, relation, twin_relation, shown, sizes = row
-    if len(fails[prop]) < MAX_WITNESSES:
-        fails[prop].append((tuple(map(comp.show, models)), relation, shown, tuple(map(comp.models.__getitem__, ids))))
-    if len(fails[twin]) < MAX_WITNESSES and not comp.den(ids[0]) is comp.den(ids[1]) is comp.den(ids[-1]):
-        fails[twin].append((tuple(map(comp.show, models)), twin_relation, sizes, tuple(map(comp.den, ids))))
+def _mismatch(comp: _Composer, row: tuple, texts: tuple, ids: tuple, syn: list, sem: list) -> None:
+    """Record a tuple, with model texts `texts`, on which a coincidence row's terms (ids `ids`, two or
+    three) do not share one id: the row fails there, kept in syn while it has room, and so does its twin,
+    kept in sem, where the canonical denotations differ too (equal ids denote the same set).  Each record
+    keeps the terms' models or sets, rendered when read, and all records of one tuple share `texts`.  It is
+    called only while sem has room: a twin fails only where its row does, so sem never outgrows syn."""
+    *_, relation, twin_relation, shown, sizes = row
+    if len(syn) < MAX_WITNESSES:
+        syn.append((texts, relation, shown, tuple(map(comp.models.__getitem__, ids))))
+    if not comp.den(ids[0]) is comp.den(ids[1]) is comp.den(ids[-1]):
+        sem.append((texts, twin_relation, sizes, tuple(map(comp.den, ids))))
 
 
 @lru_cache(maxsize=8)
@@ -271,17 +271,20 @@ def _check_pairs(comp: _Composer) -> dict:
     """Every TABLE1_PAIR_ROWS verdict and Com's, from one row-major pass over the corpus pairs."""
     n = len(comp.ids)
     fails: dict[str, list] = {p: [] for p in TABLE1_PROPS}
+    com = fails[_COM[0]], fails[_COM[1]]
     for i, a in enumerate(comp.ids):
         da = comp.den(a)  # sm(m1), once per row
         for j, b in enumerate(comp.ids):
             ab, db = comp(a, b), comp.den(b)
             sets = comp.den(ab), da, db, da & db  # in _PAIR_SETS order
+            texts = None  # the pair's model texts, made on its first record and shared by the rest
             for prop, failed, relation, shown in TABLE1_PAIR_ROWS:
                 if len(fails[prop]) < MAX_WITNESSES and failed(*sets):
-                    fails[prop].append(((comp.show(a), comp.show(b)), relation,
-                                        tuple(_PAIR_SETS[k] for k in shown), tuple(sets[k] for k in shown)))
-            if i < j and ab != (ba := comp(b, a)):
-                _mismatch(comp, _COM, fails, (a, b), (ab, ba))
+                    texts = texts or (comp.show(a), comp.show(b))
+                    fails[prop].append((texts, relation, tuple(_PAIR_SETS[k] for k in shown),
+                                        tuple(sets[k] for k in shown)))
+            if i < j and ab != (ba := comp(b, a)) and len(com[1]) < MAX_WITNESSES:
+                _mismatch(comp, _COM, texts or (comp.show(a), comp.show(b)), (ab, ba), *com)
     return {**{prop: _verdict(prop, fails[prop], n * n, True) for prop, *_ in TABLE1_PAIR_ROWS},
             **{p: _verdict(p, fails[p], n * (n - 1) // 2, True) for p in _COM[:2]}}
 
@@ -301,31 +304,34 @@ def _check_associativity(comp: _Composer, seed: int) -> dict:
     else:
         triples = _sample_triples(n, seed)
         exhaustive, checked = False, TRIPLE_SAMPLES
-    fails: dict[str, list] = {p: [] for p in _ASS[:2]}
+    syn, sem = fails = [], []
     for i, j, k in triples:
         left = comp(pairs[i][j], ids[k])
         right = comp(ids[i], pairs[j][k])
         if left != right:
-            _mismatch(comp, _ASS, fails, (ids[i], ids[j], ids[k]), (left, right))
-            if len(fails["Ass_sm"]) == MAX_WITNESSES:  # an Ass_sm failure is an Ass failure, so both are settled
+            _mismatch(comp, _ASS, (comp.show(ids[i]), comp.show(ids[j]), comp.show(ids[k])), (left, right), syn, sem)
+            if len(sem) == MAX_WITNESSES:  # an Ass_sm failure is an Ass failure, so both are settled
                 break
-    return {p: _verdict(p, fails[p], checked, exhaustive) for p in _ASS[:2]}
+    return {p: _verdict(p, f, checked, exhaustive) for p, f in zip(_ASS, fails)}
 
 
 # --- table 2 ---------------------------------------------------------------
 
 
 def _check_element(comp: _Composer, e: int) -> dict:
-    """Table 2 for the candidate element with id e, against every corpus model."""
+    """Table 2 for the candidate element with id e, against every corpus model.  A row is recorded only
+    while its twin's list has room, and the records of one corpus model share one tuple of model texts."""
     fails: dict[str, list] = {p: [] for p in TABLE2_PROPS}
+    checks = [(row, *positions, fails[row[0]], fails[row[1]]) for row, positions in _ELEMENT_CHECKS]
     for i in comp.ids:
         rm, lm = comp(i, e), comp(e, i)
         terms = (i, e, rm, lm, comp(rm, e), comp(e, lm))
-        models = (i, e)
-        for row, (a, b, c) in _ELEMENT_CHECKS:
+        texts = None
+        for row, a, b, c, syn, sem in checks:
             x, y, z = terms[a], terms[b], terms[c]
-            if not x == y == z:
-                _mismatch(comp, row, fails, models, (x, y, z))
+            if not x == y == z and len(sem) < MAX_WITNESSES:
+                texts = texts or (comp.show(i), comp.show(e))
+                _mismatch(comp, row, texts, (x, y, z), syn, sem)
     return {p: _verdict(p, fails[p], len(comp.ids), True) for p in TABLE2_PROPS}
 
 

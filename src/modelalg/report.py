@@ -33,16 +33,18 @@ def report_to_dict(r: OperatorReport) -> dict:
     }
 
 
-def _write_verdict(v: Verdict, out: list, newline: str) -> None:
+def _write_verdict(v: Verdict, out: list, newline: str, memo: dict) -> None:
     """Append the json.dumps(..., indent=2) text of v at newline's depth in
     pieces: a head, one per witness, and a tail.  An unread verdict is written
-    from the failures it keeps, building no Witness (see algebra._failures)."""
+    from the failures it keeps, building no Witness (see algebra._failures).
+    memo maps each models tuple written at this depth to its array's text."""
     i1, i2, i3, i4 = (newline + "  " * k for k in range(1, 5))
     out.append(f'{{{i1}"holds": {"true" if v.holds else "false"},{i1}"witnesses": ')
     sep = "[" + i2
     failures = _failures(v)
-    for models, relation, observed in failures:
-        models = f"[{i4}{f',{i4}'.join(map(encode_basestring_ascii, models))}{i3}]" if models else "[]"
+    for texts, relation, observed in failures:
+        if (models := memo.get(texts)) is None:
+            models = memo[texts] = f"[{i4}{f',{i4}'.join(map(encode_basestring_ascii, texts))}{i3}]" if texts else "[]"
         relation, observed = encode_basestring_ascii(relation), encode_basestring_ascii(observed)
         out.append(f'{sep}{{{i3}"models": {models},{i3}"relation": {relation},{i3}"observed": {observed}{i2}}}')
         sep = "," + i2
@@ -52,10 +54,12 @@ def _write_verdict(v: Verdict, out: list, newline: str) -> None:
     out.append(f'{close},{i1}"sampling": {{{i2}"exhaustive": {exhaustive},{i2}"checked": {checked}{i1}}}{newline}}}')
 
 
-def _write_json(value, out: list, newline: str) -> None:
+def _write_json(value, out: list, newline: str, memo: dict | None = None) -> None:
     """Append to out the pieces of json.dumps(value, indent=2), for values made
     of dicts with str keys, lists, str, int, bool, None and Verdicts; newline
-    is a line break plus the indentation of value's level."""
+    is a line break plus the indentation of value's level.  memo, one dict per
+    depth, holds the witness models arrays written so far, for one top call."""
+    memo = {} if memo is None else memo
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None or isinstance(value, bool):
@@ -71,7 +75,7 @@ def _write_json(value, out: list, newline: str) -> None:
             out.append(sep)
             out.append(encode_basestring_ascii(key))
             out.append(": ")
-            _write_json(item, out, inner)
+            _write_json(item, out, inner, memo)
             sep = comma
         out.append(newline + "}" if value else "{}")
     elif isinstance(value, list):
@@ -79,11 +83,11 @@ def _write_json(value, out: list, newline: str) -> None:
         sep, comma = "[" + inner, "," + inner
         for item in value:
             out.append(sep)
-            _write_json(item, out, inner)
+            _write_json(item, out, inner, memo)
             sep = comma
         out.append(newline + "]" if value else "[]")
     elif isinstance(value, Verdict):
-        _write_verdict(value, out, newline)
+        _write_verdict(value, out, newline, memo.setdefault(newline, {}))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

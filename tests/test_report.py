@@ -1,5 +1,6 @@
 import json
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from modelalg import (
     OPERATORS, Corpus, Verdict, Witness, algebra, build_universe, check_pairs, classify, default_corpus, parse_strict,
-    quotient, stability_check, syntax,
+    quotient, report, stability_check, syntax,
 )
 from modelalg.report import _write_json, partition_to_text, report_to_dict, report_to_json, report_to_text
 from modelalg.semantics import count_text
@@ -115,6 +116,41 @@ def test_a_json_report_and_stability_build_no_witness(monkeypatch, op):
     assert report_to_json(rep) and _unread(rep)
     assert stability_check(op, corpus).operator == op
     assert built == []
+
+
+def test_equal_models_at_two_depths_are_written_at_their_own_depths():
+    corpus = default_corpus()
+    rep = classify("union", corpus, build_universe(corpus.models))
+    shown = [[record[0] for v in verdicts for record in vars(v).get("_kept", ())]
+             for verdicts in (rep.table1.values(), (v for _, props in rep.table2 for v in props.values()))]
+    assert set(shown[0]) & set(shown[1])  # a Table 1 and a Table 2 witness show the same models
+    assert report_to_json(rep) == json.dumps(report_to_dict(rep), default=verdict_dict, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("op", sorted(OPERATORS))
+def test_each_models_array_is_encoded_once_per_depth(monkeypatch, op):
+    corpus = default_corpus()
+    rep = classify(op, corpus, build_universe(corpus.models))
+    depth, arrays, encoded = [], set(), Counter()
+    write_verdict, encode = report._write_verdict, report.encode_basestring_ascii
+
+    def verdict(v, out, newline, memo):
+        arrays.update((texts, newline) for texts, _, _ in algebra._failures(v))
+        depth.append(newline)
+        write_verdict(v, out, newline, memo)
+        depth.pop()
+
+    def counted(s):
+        if depth:  # inside a verdict
+            encoded[s, depth[-1]] += 1
+        return encode(s)
+
+    monkeypatch.setattr(report, "_write_verdict", verdict)
+    monkeypatch.setattr(report, "encode_basestring_ascii", counted)
+    report_to_json(rep)
+    expected = Counter((text, newline) for texts, newline in arrays for text in texts)
+    assert {key: n for key, n in encoded.items() if key in expected} == expected
+    assert sum(len(v.__dict__["_kept"]) for v in _unread(rep)) > len(arrays)
 
 
 @pytest.mark.parametrize("value", [1.5, {"a": [1.5]}, {1, 2}, (1, 2), {1: "a"}, [{None: 0}], b"x"])
