@@ -249,7 +249,7 @@ def _mismatch(comp: _Composer, row: tuple, texts: tuple, ids: tuple, syn: list, 
     kept in sem, where the canonical denotations differ too (equal ids denote the same set).  Each record
     keeps the terms' models or sets, rendered when read, and all records of one tuple share `texts`.  It is
     called only while sem has room: a twin fails only where its row does, so sem never outgrows syn."""
-    *_, relation, twin_relation, shown, sizes = row
+    _, _, _, _, relation, twin_relation, shown, sizes = row
     if len(syn) < MAX_WITNESSES:
         syn.append((texts, relation, shown, tuple(map(comp.models.__getitem__, ids))))
     if not comp.den(ids[0]) is comp.den(ids[1]) is comp.den(ids[-1]):
@@ -271,7 +271,8 @@ def _check_pairs(comp: _Composer) -> dict:
     """Every TABLE1_PAIR_ROWS verdict and Com's, from one row-major pass over the corpus pairs."""
     n = len(comp.ids)
     fails: dict[str, list] = {p: [] for p in TABLE1_PROPS}
-    com = fails[_COM[0]], fails[_COM[1]]
+    com, com_sm = fails[_COM[0]], fails[_COM[1]]
+    lines = [comp.show(a) for a in comp.ids]
     for i, a in enumerate(comp.ids):
         da = comp.den(a)  # sm(m1), once per row
         for j, b in enumerate(comp.ids):
@@ -280,11 +281,11 @@ def _check_pairs(comp: _Composer) -> dict:
             texts = None  # the pair's model texts, made on its first record and shared by the rest
             for prop, failed, relation, shown in TABLE1_PAIR_ROWS:
                 if len(fails[prop]) < MAX_WITNESSES and failed(*sets):
-                    texts = texts or (comp.show(a), comp.show(b))
+                    texts = texts or (lines[i], lines[j])
                     fails[prop].append((texts, relation, tuple(_PAIR_SETS[k] for k in shown),
                                         tuple(sets[k] for k in shown)))
-            if i < j and ab != (ba := comp(b, a)) and len(com[1]) < MAX_WITNESSES:
-                _mismatch(comp, _COM, texts or (comp.show(a), comp.show(b)), (ab, ba), *com)
+            if i < j and ab != (ba := comp(b, a)) and len(com_sm) < MAX_WITNESSES:
+                _mismatch(comp, _COM, texts or (lines[i], lines[j]), (ab, ba), com, com_sm)
     return {**{prop: _verdict(prop, fails[prop], n * n, True) for prop, *_ in TABLE1_PAIR_ROWS},
             **{p: _verdict(p, fails[p], n * (n - 1) // 2, True) for p in _COM[:2]}}
 
@@ -305,11 +306,12 @@ def _check_associativity(comp: _Composer, seed: int) -> dict:
         triples = _sample_triples(n, seed)
         exhaustive, checked = False, TRIPLE_SAMPLES
     syn, sem = fails = [], []
+    lines = [comp.show(a) for a in ids]
     for i, j, k in triples:
         left = comp(pairs[i][j], ids[k])
         right = comp(ids[i], pairs[j][k])
         if left != right:
-            _mismatch(comp, _ASS, (comp.show(ids[i]), comp.show(ids[j]), comp.show(ids[k])), (left, right), syn, sem)
+            _mismatch(comp, _ASS, (lines[i], lines[j], lines[k]), (left, right), syn, sem)
             if len(sem) == MAX_WITNESSES:  # an Ass_sm failure is an Ass failure, so both are settled
                 break
     return {p: _verdict(p, f, checked, exhaustive) for p, f in zip(_ASS, fails)}
