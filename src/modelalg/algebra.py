@@ -272,7 +272,6 @@ def _check_pairs(comp: _Composer) -> dict:
     n = len(comp.ids)
     fails: dict[str, list] = {p: [] for p in TABLE1_PROPS}
     com, com_sm = fails[_COM[0]], fails[_COM[1]]
-    lines = [comp.show(a) for a in comp.ids]
     for i, a in enumerate(comp.ids):
         da = comp.den(a)  # sm(m1), once per row
         for j, b in enumerate(comp.ids):
@@ -281,11 +280,11 @@ def _check_pairs(comp: _Composer) -> dict:
             texts = None  # the pair's model texts, made on its first record and shared by the rest
             for prop, failed, relation, shown in TABLE1_PAIR_ROWS:
                 if len(fails[prop]) < MAX_WITNESSES and failed(*sets):
-                    texts = texts or (lines[i], lines[j])
+                    texts = texts or (comp.show(a), comp.show(b))
                     fails[prop].append((texts, relation, tuple(_PAIR_SETS[k] for k in shown),
                                         tuple(sets[k] for k in shown)))
             if i < j and ab != (ba := comp(b, a)) and len(com_sm) < MAX_WITNESSES:
-                _mismatch(comp, _COM, texts or (lines[i], lines[j]), (ab, ba), com, com_sm)
+                _mismatch(comp, _COM, texts or (comp.show(a), comp.show(b)), (ab, ba), com, com_sm)
     return {**{prop: _verdict(prop, fails[prop], n * n, True) for prop, *_ in TABLE1_PAIR_ROWS},
             **{p: _verdict(p, fails[p], n * (n - 1) // 2, True) for p in _COM[:2]}}
 
