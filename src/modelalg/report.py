@@ -54,12 +54,11 @@ def _write_verdict(v: Verdict, out: list, newline: str, memo: dict) -> None:
     out.append(f'{close},{i1}"sampling": {{{i2}"exhaustive": {exhaustive},{i2}"checked": {checked}{i1}}}{newline}}}')
 
 
-def _write_json(value, out: list, newline: str, memo: dict | None = None) -> None:
+def _write_json(value, out: list, newline: str, memo: dict) -> None:
     """Append to out the pieces of json.dumps(value, indent=2), for values made
     of dicts with str keys, lists, str, int, bool, None and Verdicts; newline
     is a line break plus the indentation of value's level.  memo, one dict per
     depth, holds the witness models arrays written so far, for one top call."""
-    memo = {} if memo is None else memo
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None or isinstance(value, bool):
@@ -94,7 +93,7 @@ def _write_json(value, out: list, newline: str, memo: dict | None = None) -> Non
 
 def report_to_json(r: OperatorReport) -> str:
     out: list[str] = []
-    _write_json(report_to_dict(r), out, "\n")
+    _write_json(report_to_dict(r), out, "\n", {})
     out.append("\n")
     return "".join(out)
 

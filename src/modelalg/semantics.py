@@ -214,15 +214,13 @@ def _value_states(u: Universe, v):
 class Denotation:
     """A product of per-class state sets, built only by _canonical:
     `values` maps the pool index of each class the constraints name to its interned
-    class value (see the module docstring); it is None in the empty denotation.
-    `key` is the universe's cache key for it: frozenset(values.items()), or None."""
+    class value (see the module docstring); it is None in the empty denotation."""
 
     universe: Universe
     values: dict | None
-    key: frozenset | None = field(compare=False, repr=False)
 
     def __hash__(self) -> int:  # not the universe's: that would hash its pools
-        return hash(self.key)
+        return hash(None if self.values is None else frozenset(self.values.items()))
 
     def __reduce__(self):  # a copy is its universe copy's canonical Denotation
         return _canonical, (self.universe, self.values)
@@ -314,7 +312,7 @@ def _canonical(u: Universe, values: dict | None) -> Denotation:
     ref = u._den_cache.get(key)
     d = None if ref is None else ref()
     if d is None:  # values are interned again only for a pickled or copied Denotation's sake
-        d = Denotation(u, values and {ci: _intern(u, v) for ci, v in values.items()}, key)
+        d = Denotation(u, values and {ci: _intern(u, v) for ci, v in values.items()})
         u._den_cache[key] = weakref.ref(d)
     return d
 

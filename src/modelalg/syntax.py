@@ -175,9 +175,6 @@ def syntactic_eq(m1: Model, m2: Model) -> bool:
     return m1.constraints == m2.constraints
 
 
-_Decl = namedtuple("_Decl", "cls attrs complete")
-
-
 def expand(decls) -> tuple[Constraint, ...]:
     """The constraints that (class, attribute pairs, complete) declarations
     stand for: ClassExists, one AttrTyped per pair in written order, and a
@@ -218,7 +215,7 @@ def parse(text: str) -> tuple[Model | None, list[Diagnostic]]:
     strays = len(toks) <= len(found) and any(t[:2] != "//" for t in found if t[0] not in _GRAMMAR_STARTS)
     del found
     errs: list[tuple[int, str]] = []  # (index in toks, message)
-    decls: list[_Decl] = []
+    decls: list[tuple] = []
     i = 0
     while toks[i]:
         decl, i = _declaration(toks, i, errs)
@@ -232,7 +229,7 @@ def parse(text: str) -> tuple[Model | None, list[Diagnostic]]:
     return Model._trusted(expand(decls)), []
 
 
-def _declaration(toks: list[str], i: int, errs: list[tuple[int, str]]) -> tuple[_Decl | None, int]:
+def _declaration(toks: list[str], i: int, errs: list[tuple[int, str]]) -> tuple[tuple | None, int]:
     """The declaration at token i and the index after it; or, after appending
     (token index, message) to errs, None and the index to skip from.  A repeated
     attribute is reported at its name, and the declaration read on and dropped."""
@@ -274,7 +271,7 @@ def _declaration(toks: list[str], i: int, errs: list[tuple[int, str]]) -> tuple[
     if toks[i] != "}":
         errs.append((i, "expected '}'"))
         return None, i
-    return _Decl(cls, tuple(attrs.items()), complete), i + 1
+    return (cls, tuple(attrs.items()), complete), i + 1
 
 
 def _diagnostics(text: str, errs: list[tuple[int, str]]) -> list[Diagnostic]:
@@ -300,14 +297,14 @@ def parse_strict(text: str) -> Model:
 # --- printing --------------------------------------------------------------
 
 
-def _group(m: Model) -> list[_Decl]:
+def _group(m: Model) -> list[tuple]:
     """Greedy regrouping of a constraint list into declarations.
 
     Only contiguous runs consistent with the expansion rule collapse into one
     declaration; anything else opens a fresh declaration (whose expansion
     re-introduces the implied ClassExists / AttrTyped constraints).
     """
-    decls: list[_Decl] = []
+    decls: list[tuple] = []
     cls, attrs = None, None  # the open declaration's class and {attribute: type}, if one is open
     for c in m.constraints:
         if attrs is not None and c.cls == cls:
@@ -315,18 +312,18 @@ def _group(m: Model) -> list[_Decl]:
                 attrs[c.attr] = c.type
                 continue
             if isinstance(c, AttrComplete) and tuple(attrs.items()) == c.attrs:
-                decls.append(_Decl(cls, c.attrs, True))
+                decls.append((cls, c.attrs, True))
                 attrs = None
                 continue
         if attrs is not None:
-            decls.append(_Decl(cls, tuple(attrs.items()), False))
+            decls.append((cls, tuple(attrs.items()), False))
         if isinstance(c, AttrComplete):
-            decls.append(_Decl(c.cls, c.attrs, True))
+            decls.append((c.cls, c.attrs, True))
             attrs = None
         else:
             cls, attrs = c.cls, {c.attr: c.type} if isinstance(c, AttrTyped) else {}
     if attrs is not None:
-        decls.append(_Decl(cls, tuple(attrs.items()), False))
+        decls.append((cls, tuple(attrs.items()), False))
     return decls
 
 

@@ -51,7 +51,7 @@ AT_REPORT_DEPTHS = (
 
 def write(value) -> str:
     out: list[str] = []
-    _write_json(value, out, "\n")
+    _write_json(value, out, "\n", {})
     return "".join(out)
 
 

@@ -314,6 +314,13 @@ def test_empty_model_denotes_everything():
     assert d.size == 9 and d.is_full
 
 
+def test_equal_denotations_hash_alike_however_built():
+    # a Denotation built outside _canonical, here by replace, hashes by what it denotes
+    u = build_universe([PERSON])
+    e, f = dataclasses.replace(denotation(PERSON, u), values={}), denotation(Model(()), u)
+    assert e == f and hash(e) == hash(f) and len({e, f}) == 1
+
+
 def test_contradiction_denotes_nothing():
     u = TINY_UNIVERSE
     m = Model((AttrTyped("Person", "name", "String"), AttrTyped("Person", "name", "Int")))
